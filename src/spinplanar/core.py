@@ -382,19 +382,26 @@ def devectorize(ctx: SpinContext, color: SpinColor, v: np.ndarray) -> SpinElemen
     return SpinElement(ctx, color, coeffs)
 
 
+def basis_weight(ctx: SpinContext, color: SpinColor) -> float:
+    """tau(e* . e), the same for every basis element e of the color.
+
+    The basis is orthogonal for <x, y> = tau(y* . x), so its Gram matrix is
+    this weight times the identity: N^-(pairs + #slots) for width >= 1, 1/N
+    on (0,-) and 1 on (0,+).
+    """
+    if color.width == 0:
+        return 1.0 / ctx.N if color.shading == MINUS else 1.0
+    return ctx.N ** -(color.pairs + int(color.has_left) + int(color.has_right))
+
+
 def normalized_trace(x: SpinElement) -> complex:
     """The positive normalized trace tau with tau(unit) = 1.
 
-    On a width >= 1 basis index: delta_{top,bottom} * N^-(pairs + #slots).
-    On (0,-): tau(S(i)) = 1/N.  On (0,+): the scalar itself.
+    On a basis index: delta_{top,bottom} * basis_weight; the width-0 indices
+    (the scalar 1 and the S(i)) all count as diagonal.
     """
-    color = x.color
-    if color.width == 0 and color.shading == MINUS:
-        return sum(x.coeffs.values(), 0j) / x.ctx.N
-    if color.width == 0:
-        return x.coefficient(SCALAR_INDEX)
-    weight = x.ctx.N ** -(color.pairs + int(color.has_left) + int(color.has_right))
-    return sum((c for idx, c in x.coeffs.items() if idx.top == idx.bottom), 0j) * weight
+    diagonal = sum((c for idx, c in x.coeffs.items() if idx.top == idx.bottom), 0j)
+    return diagonal * basis_weight(x.ctx, x.color)
 
 
 def inner_product(x: SpinElement, y: SpinElement) -> complex:

@@ -1,6 +1,6 @@
 """Dense complex linear algebra helpers.
 
-Thin wrappers around numpy/scipy: products, adjoints, singular values,
+Thin wrappers around numpy/scipy: adjoints, singular values,
 deterministic kernel extraction with a relative singular-value threshold, and
 operator-norm defects.  Everything is double precision; inputs are validated
 to be finite.  One fixed LAPACK driver ('gesvd') is used for all singular
@@ -24,10 +24,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    return as_matrix(a) @ as_matrix(b)
 
 
 def adjoint(a) -> np.ndarray:

@@ -5,8 +5,11 @@ algebra carries a membership condition: x belongs to the subalgebra iff the
 conjugate sigma(x) = u_(m) . incl_right^{k-l}(x) . u_(m)* lies in the image
 of the (k-l)-fold left inclusion.  Writing F for the orthogonal projection
 onto that image, the condition is L(x) = sigma(x) - F(sigma(x)) = 0, a
-linear equation solved here by assembling L column-by-column over the
-ambient basis and extracting its kernel with a rank-revealing factorization.
+linear equation solved here by assembling L as a dense matrix and extracting
+its kernel with a rank-revealing factorization.  L is built blockwise: sigma
+of every ambient basis element at once, by batched products over the matrix
+blocks of u_(m), and F as a mean over the disjoint supports of the left
+inclusion's image, a chunk of columns at a time.
 
 The u_(m) are the staircase elements: alternating products of u and its
 back-rotated adjoint, built by a recursion that reproduces the closed forms
@@ -27,8 +30,8 @@ import numpy as np
 
 from . import numerics
 from .core import (MINUS, PLUS, SpinColor, SpinContext, SpinElement,
-                   basis_order, color_dim, mult, star, unit, vectorize,
-                   devectorize, norm)
+                   algebra_blocks, basis_order, basis_weight, color_dim, mult,
+                   star, unit, vectorize, devectorize, norm)
 from .ops import (cond_left_pow, cond_right_pow, incl_left_pow,
                   incl_right_pow, rotate_pow)
 from .groups import (orbit_representatives, orbit_sum, predicted_group_dims,
@@ -151,8 +154,9 @@ class MembershipOperator:
     """The map L(x) = sigma(x) - F(sigma(x)) as a dense matrix.
 
     Columns run over the ambient basis at the given level, rows over the
-    target basis of color (m*l + k - l, eps); x is in the subalgebra iff
-    its coefficient vector lies in the kernel.
+    basis of the color of u_(m): (m*l + k - l, eps) on the plus side and
+    (k - l, eps*(-1)^l) at the minus-shaded level 0.  x is in the subalgebra
+    iff its coefficient vector lies in the kernel.
     """
 
     level: int
@@ -162,20 +166,73 @@ class MembershipOperator:
     matrix: np.ndarray
 
 
+# Columns of L are built a chunk at a time, so that besides L only one chunk's
+# temporaries are alive; the factorization after assembly sets the peak memory.
+_CHUNK_BYTES = 1 << 21
+
+
+def _image_supports(ctx: SpinContext, color: SpinColor, include, times: int) -> np.ndarray:
+    """Row j: the positions, ascending, of include(e_j, times) for basis element e_j.
+
+    include is incl_right_pow or incl_left_pow.  Their images of distinct
+    basis elements have disjoint supports and unit coefficients, so a single
+    call on the element that carries the label j + 1 at e_j reads off every
+    support at once.
+    """
+    labeled = SpinElement(ctx, color, {idx: j + 1.0 + 0j
+                                       for j, idx in enumerate(basis_order(ctx, color))})
+    labels = vectorize(include(labeled, times)).real.astype(np.int64)
+    order = np.argsort(labels, kind="stable")
+    return order[len(labels) - np.count_nonzero(labels):].reshape(color_dim(ctx, color), -1)
+
+
 def membership_operator(stair: Staircase, m: int, minus: bool = False) -> MembershipOperator:
-    """Assemble L column-by-column over the ambient basis."""
+    """Assemble L blockwise, from the matrix blocks of u_(m), in column chunks.
+
+    incl_right^{k-l} sends each ambient basis element to a sum of matrix
+    units of the target, so sigma of it is, in every matrix block of u_(m)
+    that sum touches, U[:, tops] @ U[:, bottoms]^*.  The images of
+    incl_left^{k-l} have disjoint supports and the basis Gram matrix is a
+    multiple of the identity, so F replaces the entries of each support by
+    their mean and zeroes the rest.
+    """
     ctx = stair.ctx
     cab = stair.cab
     ambient = cab.ambient_color(m, minus)
-    target = cab.target_color(m)
-    cols = []
-    for idx in basis_order(ctx, ambient):
-        x = SpinElement(ctx, ambient, {idx: 1.0 + 0j})
-        sx = sigma(stair, m, x, minus)
-        lx = sx - left_projection(sx, cab.depth)
-        cols.append(vectorize(lx))
-    matrix = np.column_stack(cols) if cols else np.zeros((color_dim(ctx, target), 0))
-    return MembershipOperator(m, minus, ambient, target, matrix)
+    um = stair.element(m, minus)
+    target = um.color
+    n_cols, n_rows = color_dim(ctx, ambient), color_dim(ctx, target)
+    # target positions run over (left, top, bottom, right) slot values; the
+    # blocks of um are ordered by (left, right), with top and bottom inside
+    n_left = ctx.N if target.has_left else 1
+    n_right = ctx.N if target.has_right else 1
+    size = ctx.N ** target.pairs
+    blocks = np.stack(algebra_blocks(um))
+    # one group of matrix units per right slot value: the inclusion's last
+    # step, if it opened the right slot, copies the whole image once per
+    # value.  The left slot is the same for all of a column.
+    support = _image_supports(ctx, ambient, incl_right_pow, cab.depth)
+    support = np.take_along_axis(support, np.argsort(support % n_right, axis=1, kind="stable"), 1)
+    left, top, bottom, right = np.unravel_index(support.reshape(n_cols, n_right, -1),
+                                                (n_left, size, size, n_right))
+    block = left * n_right + right
+    source = SpinColor(target.width - cab.depth, target.shading * (-1) ** cab.depth)
+    groups = _image_supports(ctx, source, incl_left_pow, cab.depth)
+
+    # built transposed: row j of lt is column j of L
+    lt = np.zeros((n_cols, n_rows), dtype=complex)
+    step = max(1, _CHUNK_BYTES // (16 * n_rows))
+    for lo in range(0, n_cols, step):
+        hi = min(lo + step, n_cols)
+        tops = blocks[block[lo:hi], :, top[lo:hi]]  # (chunk, right, units, size)
+        bottoms = blocks[block[lo:hi], :, bottom[lo:hi]]
+        conjugated = np.swapaxes(tops, -1, -2) @ bottoms.conj()  # (chunk, right, size, size)
+        chunk = lt[lo:hi]
+        slots = chunk.reshape(hi - lo, n_left, size, size, n_right)
+        slots[np.arange(hi - lo), left[lo:hi, 0, 0]] = conjugated.transpose(0, 2, 3, 1)
+        on_image = chunk[:, groups]
+        chunk[:, groups] = on_image - on_image.mean(axis=-1, keepdims=True)
+    return MembershipOperator(m, minus, ambient, target, lt.T)
 
 
 @dataclass
@@ -200,8 +257,7 @@ class QLevelResult:
     kernel_matrix: np.ndarray = field(default=None, repr=False)
 
 
-def _kernel_result(op: MembershipOperator, ctx: SpinContext, ell: int,
-                   rel_tol: float) -> tuple:
+def _kernel_result(op: MembershipOperator, ctx: SpinContext, rel_tol: float) -> tuple:
     # abs_tol=rel_tol: columns come from unit basis vectors through an
     # isometry minus a contraction, so the natural scale of L is one; a
     # singular value at roundoff means the direction is in the kernel even
@@ -215,10 +271,11 @@ def _kernel_result(op: MembershipOperator, ctx: SpinContext, ell: int,
         residual = float(np.max(np.linalg.norm(defects, axis=0)))
     else:
         residual = 0.0
-    elements = []
-    for j in range(ker.dim):
-        b = devectorize(ctx, op.ambient_color, ker.basis[:, j])
-        elements.append((1.0 / norm(b)) * b)
+    # unit planar norm in closed form: the basis Gram matrix is basis_weight
+    # times the identity, so the planar norm is sqrt(weight) times the l2 norm
+    weight = basis_weight(ctx, op.ambient_color)
+    scaled = ker.basis / (np.linalg.norm(ker.basis, axis=0) * np.sqrt(weight))
+    elements = [devectorize(ctx, op.ambient_color, scaled[:, j]) for j in range(ker.dim)]
     return ker, residual, elements
 
 
@@ -230,7 +287,7 @@ def q_level(stair: Staircase, m: int, rel_tol: float = numerics.DEFAULT_REL_TOL)
     subalgebra is closed under it, so the image has the same dimension).
     """
     op = membership_operator(stair, m)
-    ker, residual, elements = _kernel_result(op, stair.ctx, stair.cab.ell, rel_tol)
+    ker, residual, elements = _kernel_result(op, stair.ctx, rel_tol)
     minus_basis = []
     if m >= 1:
         minus_basis = [rotate_pow(b, stair.cab.ell) for b in elements]
@@ -241,7 +298,7 @@ def q_level(stair: Staircase, m: int, rel_tol: float = numerics.DEFAULT_REL_TOL)
 def q_zero_minus(stair: Staircase, rel_tol: float = numerics.DEFAULT_REL_TOL) -> QLevelResult:
     """Compute Q at the minus-shaded level 0 directly with the shaded unit."""
     op = membership_operator(stair, 0, minus=True)
-    ker, residual, elements = _kernel_result(op, stair.ctx, stair.cab.ell, rel_tol)
+    ker, residual, elements = _kernel_result(op, stair.ctx, rel_tol)
     return QLevelResult(0, ker.dim, elements, [], residual, ker.gap,
                         op.ambient_color, stair.cab.ell, True, ker.basis)
 

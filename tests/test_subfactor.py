@@ -144,6 +144,40 @@ def test_left_projection_is_conditional_expectation(rng):
     assert sp.coeff_distance(sp.star(fx), sp.left_projection(sp.star(x), depth)) < 1e-12
 
 
+CABLING_CASES = {
+    "fourier3 k=2 l=1": lambda: fourier_staircase(3, 2),
+    "latin5 qls k=3 l=1": lambda: sp.build_staircase(sp.from_latin(latin5()), 1, 2),
+    "S3 table k=3 l=1": lambda: group_staircase(sp.s3_table(), 2),
+    "A(x)B k=4 l=2": lambda: sp.build_staircase(sp.from_biunitary_matrix(tensor_biunitary(2)),
+                                                2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CABLING_CASES))
+def test_membership_operator_matches_definition(case):
+    """Each column of the blockwise L is sigma(x) - F sigma(x) on a basis element x."""
+    stair = CABLING_CASES[case]()
+    ctx, depth = stair.ctx, stair.cab.depth
+    for m, minus in ((0, False), (1, False), (2, False), (0, True)):
+        op = sp.membership_operator(stair, m, minus)
+        ambient = stair.cab.ambient_color(m, minus)
+        order = sp.basis_order(ctx, ambient)
+        assert op.matrix.shape == (sp.color_dim(ctx, op.target_color), len(order))
+        for j, idx in enumerate(order):
+            sx = sp.sigma(stair, m, sp.make_basis(ctx, idx), minus)
+            want = sp.vectorize(sx - sp.left_projection(sx, depth))
+            assert np.max(np.abs(op.matrix[:, j] - want)) <= 1e-14
+
+
+def test_zero_minus_operator_rows_lie_in_shaded_unit_color():
+    # for odd l the minus-shaded staircase unit has the opposite shading of
+    # the plus-shaded target color (k-l, eps)
+    stair = fourier_staircase(3, 1)
+    op = sp.membership_operator(stair, 0, minus=True)
+    assert op.target_color == stair.element(0, True).color == sp.SpinColor(1, sp.MINUS)
+    assert op.matrix.shape[0] == sp.color_dim(stair.ctx, op.target_color)
+
+
 def test_unit_cabling_scales_by_modulus(ctx2):
     # collapsing a cable of plain strands multiplies by the modulus each time
     one = sp.unit(ctx2, sp.SpinColor(3, sp.PLUS))
