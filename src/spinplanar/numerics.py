@@ -3,8 +3,10 @@
 Thin wrappers around numpy/scipy: adjoints, singular values,
 deterministic kernel extraction with a relative singular-value threshold, and
 operator-norm defects.  Everything is double precision; inputs are validated
-to be finite.  One fixed LAPACK driver ('gesvd') is used for all singular
-value decompositions so that reported dimensions are reproducible.
+to be finite.  Singular value decompositions use one fixed LAPACK driver
+('gesvd') so that reported dimensions are reproducible; for a kernel of a
+tall matrix it runs on the triangular factor R of a Householder QR
+('geqrf'), which has the same singular values and right singular vectors.
 """
 
 from __future__ import annotations
@@ -61,8 +63,12 @@ class KernelResult:
     """Kernel of a matrix by rank-revealing SVD.
 
     basis: columns form an l2-orthonormal basis of the kernel.
+    sigma: the min(rows, cols) singular values, nonincreasing.
     gap: smallest kept (rank-part) singular value divided by the largest
-    discarded (kernel-part) one; inf when either side is empty.
+    discarded (kernel-part) one, floored at eps * max(rows, cols) * sigma[0]
+    (numpy's matrix_rank tolerance).  Below that floor a singular value is
+    roundoff, and a ratio over roundoff would be noise.  inf when either
+    side is empty.
     """
 
     basis: np.ndarray
@@ -72,12 +78,28 @@ class KernelResult:
     gap: float
 
 
+def _triangular_factor(m: np.ndarray) -> np.ndarray:
+    """The cols x cols factor R of a Householder QR of a tall m (LAPACK geqrf).
+
+    The LAPACK result holds R above the diagonal and the reflectors below it,
+    a rows x cols array; only R is copied out, so that array and Q are dropped.
+    """
+    geqrf, geqrf_lwork = scipy.linalg.get_lapack_funcs(("geqrf", "geqrf_lwork"), (m,))
+    work, _ = geqrf_lwork(*m.shape)
+    qr, _, _, info = geqrf(m, lwork=int(work.real))  # default lwork is unblocked
+    if info != 0:
+        raise np.linalg.LinAlgError(f"geqrf failed with info={info}")
+    return np.triu(qr[:m.shape[1]])
+
+
 def kernel_basis(a, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> KernelResult:
     """Kernel by SVD: directions with singular value <= max(rel_tol*s[0], abs_tol).
 
-    The absolute cutoff matters when the whole matrix is numerically zero
-    (s[0] at roundoff scale), where a purely relative threshold would keep
-    noise directions as rank.
+    A tall matrix is first reduced to the triangular factor R of its QR
+    factorization, which has the same singular values and right singular
+    vectors; its left singular vectors are never formed.  The absolute cutoff
+    matters when the whole matrix is numerically zero (s[0] at roundoff
+    scale), where a purely relative threshold would keep noise as rank.
     """
     m = as_matrix(a)
     rows, cols = m.shape
@@ -86,22 +108,20 @@ def kernel_basis(a, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> K
     if rows == 0 or not m.any():
         return KernelResult(np.eye(cols, dtype=complex), cols, np.zeros(min(rows, cols)),
                             0.0, float("inf"))
-    full = rows < cols  # need the trailing right-singular vectors too
-    _, s, vh = scipy.linalg.svd(m, full_matrices=full, lapack_driver="gesvd")
+    if rows > cols:
+        m = _triangular_factor(m)
+    # rows < cols: full_matrices for the trailing right-singular vectors
+    _, s, vh = scipy.linalg.svd(m, full_matrices=rows < cols, lapack_driver="gesvd")
     threshold = max(rel_tol * s[0], abs_tol)
     small = s <= threshold
-    kernel_rows = [vh[i] for i in range(len(s)) if small[i]]
-    kernel_rows.extend(vh[i] for i in range(len(s), vh.shape[0]))
-    if kernel_rows:
-        basis = np.array(kernel_rows).conj().T
-    else:
-        basis = np.zeros((cols, 0), dtype=complex)
-    kept = s[~small]
-    discarded = s[small]
-    if len(kept) == 0 or len(discarded) == 0:
-        gap = float("inf")
-    else:
-        gap = float(kept[-1] / discarded[0]) if discarded[0] > 0 else float("inf")
+    in_kernel = np.ones(vh.shape[0], dtype=bool)
+    in_kernel[:len(s)] = small
+    basis = vh[in_kernel].conj().T
+    kept, discarded = s[~small], s[small]
+    gap = float("inf")
+    if len(kept) and len(discarded):
+        floor = np.finfo(float).eps * max(rows, cols) * s[0]
+        gap = float(kept[-1] / max(discarded[0], floor))
     return KernelResult(basis, basis.shape[1], s, threshold, gap)
 
 

@@ -1,9 +1,13 @@
 """Dense linear algebra helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import spinplanar as sp
 from spinplanar import numerics
+from conftest import haar_unitary
 
 
 def test_as_matrix_rejects_bad_input():
@@ -85,6 +89,75 @@ def test_kernel_empty_inputs():
     assert res.dim == 0
     res = numerics.kernel_basis(np.zeros((0, 3)))
     assert res.dim == 3
+
+
+def planted_kernel(rows=300, cols=40, rank=30, seed=5):
+    """A random complex rows x cols matrix of the given rank (a planted kernel)."""
+    g = np.random.default_rng(seed)
+    left = g.normal(size=(rows, rank)) + 1j * g.normal(size=(rows, rank))
+    right = g.normal(size=(rank, cols)) + 1j * g.normal(size=(rank, cols))
+    return left @ right
+
+
+def zero_columns():
+    a = np.random.default_rng(8).normal(size=(200, 30)).astype(complex)
+    a[:, [0, 7, 8, 29]] = 0.0
+    return a
+
+
+def membership_matrix(u, m):
+    """The membership operator L at level m of a {0,1}-biunitary u."""
+    return sp.membership_operator(sp.build_staircase(u, 1, m), m).matrix
+
+
+TALL_CASES = {
+    "random rank 30 of 40": planted_kernel,
+    "exact zero columns": zero_columns,
+    "S3 level 2": lambda: membership_matrix(
+        sp.group_element(sp.SpinContext(6), sp.s3_table()), 2),
+    "F4 level 3": lambda: membership_matrix(sp.from_hadamard(sp.fourier_hadamard(4)), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TALL_CASES))
+def test_tall_kernel_matches_direct_svd(case):
+    # a tall matrix is factored through the R of its QR; compare with the SVD of a itself
+    a = TALL_CASES[case]()
+    rows, cols = a.shape
+    assert rows > cols
+    res = numerics.kernel_basis(a, 1e-8, abs_tol=1e-8)
+    _, s, vh = np.linalg.svd(a)
+    small = s <= max(1e-8 * s[0], 1e-8)
+    want = vh[small].conj().T
+    assert res.dim == want.shape[1]
+    assert np.max(np.abs(res.sigma - s)) <= 1e-12 * s[0]
+    projector = res.basis @ res.basis.conj().T
+    assert np.linalg.norm(projector - want @ want.conj().T, 2) <= 1e-10
+    assert np.linalg.norm(a @ res.basis, 2) <= 1e-12 * s[0]
+
+
+def test_tall_kernel_never_forms_left_vectors():
+    # the left singular vectors of a would be a second array the size of a
+    a = np.asfortranarray(planted_kernel(4000, 120, 100, seed=4))
+    tracemalloc.start()
+    try:
+        res = numerics.kernel_basis(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.dim == 20
+    assert peak <= 1.25 * a.nbytes
+
+
+def test_gap_invariant_under_left_unitaries():
+    # kernel and spectrum are invariant under a -> w a for unitary w; the gap
+    # must not depend on which roundoff value the kernel directions pick up
+    a = planted_kernel()
+    results = [numerics.kernel_basis(haar_unitary(a.shape[0], seed) @ a) for seed in range(4)]
+    assert {r.dim for r in results} == {10}
+    gaps = [r.gap for r in results]
+    assert np.isfinite(gaps[0])
+    assert max(gaps) - min(gaps) <= 1e-9 * gaps[0]
 
 
 def test_lstsq_residual():
