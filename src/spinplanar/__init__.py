@@ -4,15 +4,15 @@ squares, biunitary matrices, unitary error bases), and the level-by-level
 construction of the subfactor planar algebras they generate."""
 
 from .core import (MINUS, PLUS, SpinColor, SpinContext, SpinElement,
-                   SpinIndex, add, algebra_blocks, approx_eq, basis_indices,
-                   basis_order, coeff_distance, color_dim, devectorize,
-                   from_coeffs, inner_product, make_basis, mult, norm,
-                   normalized_trace, op_norm, pair_index, scale, spin_state,
-                   star, unit, unitarity_residuals, vectorize, zero)
+                   SpinIndex, add, algebra_blocks, basis_indices, basis_order,
+                   coeff_distance, color_dim, devectorize, from_coeffs,
+                   inner_product, make_basis, mult, norm, normalized_trace,
+                   op_norm, scale, spin_state, star, unit, unitarity_residuals,
+                   vectorize, zero)
 from .ops import (cond_left, cond_left_pow, cond_right, cond_right_pow,
                   incl_left, incl_left_pow, incl_right, incl_right_pow,
                   partial_swap, picture_trace_left, picture_trace_right,
-                  rotate, rotate_inv, rotate_pow)
+                  rotate, rotate_pow)
 from .qit import (BiunitaryCertificate, HadamardMatrix, LatinSquare,
                   QitParseError, QitValidationError, QuantumLatinSquare,
                   UnitaryErrorBasis, BiunitaryMatrix, block_transpose,

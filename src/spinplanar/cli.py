@@ -344,6 +344,12 @@ def main(argv=None) -> int:
     if getattr(args, "max_level", 0) < 0:
         print("--max-level must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
+    if getattr(args, "cap", 1) < 1:
+        print("--cap must be positive", file=sys.stderr)
+        return EXIT_INPUT
+    if getattr(args, "spins", 1) < 1:
+        print("--spins must be positive", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (QitParseError, GroupValidationError) as exc:

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,18 +55,16 @@ def shading_from_name(name: str) -> int:
 
 
 class SpinContext:
-    """Ambient data: the number of spins N, the modulus sqrt(N), tolerances.
+    """Ambient data: the number of spins N and the modulus sqrt(N).
 
     delta is always derived from N, never set independently.
     """
 
-    def __init__(self, N: int, tol: float = 1e-10, prune: float = 0.0):
+    def __init__(self, N: int):
         if int(N) != N or N < 1:
             raise ValueError(f"N must be a positive integer, got {N!r}")
         self.N = int(N)
         self.delta = math.sqrt(self.N)
-        self.tol = float(tol)
-        self.prune = float(prune)
 
     def spins(self) -> range:
         """All spin values, 1-based."""
@@ -146,11 +144,6 @@ def spin_state(i: int) -> SpinIndex:
     return SpinIndex(s=i)
 
 
-def pair_index(top: Iterable[int], bottom: Iterable[int],
-               left: int | None = None, right: int | None = None) -> SpinIndex:
-    return SpinIndex(left=left, top=tuple(top), bottom=tuple(bottom), right=right)
-
-
 def index_color(idx: SpinIndex) -> SpinColor:
     """Recover the color an index belongs to (raises if malformed)."""
     if idx.s is not None:
@@ -189,8 +182,8 @@ class SpinElement:
     """A sparse complex linear combination of basis indices of one color.
 
     Treated as immutable: operations return fresh elements.  Exact zeros are
-    pruned; coefficient comparisons are tolerance-based (see approx_eq), so
-    the dataclass equality is deliberately not overridden.
+    pruned; coefficients are compared within a tolerance (see coeff_distance),
+    so the dataclass equality is deliberately not overridden.
     """
 
     ctx: SpinContext
@@ -236,9 +229,8 @@ class SpinElement:
         return f"SpinElement(N={self.ctx.N}, color={self.color}, {{{shown}{more}}})"
 
 
-def _cleaned(ctx: SpinContext, coeffs: dict[SpinIndex, complex]) -> dict[SpinIndex, complex]:
-    thr = ctx.prune
-    return {idx: c for idx, c in coeffs.items() if abs(c) > thr}
+def _cleaned(coeffs: dict[SpinIndex, complex]) -> dict[SpinIndex, complex]:
+    return {idx: c for idx, c in coeffs.items() if abs(c) > 0.0}
 
 
 def zero(ctx: SpinContext, color: SpinColor) -> SpinElement:
@@ -257,7 +249,7 @@ def from_coeffs(ctx: SpinContext, color: SpinColor,
         for idx in coeffs:
             if check_index(ctx, idx) != color:
                 raise ValueError(f"index {idx} does not belong to color {color}")
-    return SpinElement(ctx, check_color(color), _cleaned(ctx, dict(coeffs)))
+    return SpinElement(ctx, check_color(color), _cleaned(coeffs))
 
 
 def _check_compatible(op: str, x: SpinElement, y: SpinElement) -> None:
@@ -272,7 +264,7 @@ def add(x: SpinElement, y: SpinElement) -> SpinElement:
     out = dict(x.coeffs)
     for idx, c in y.coeffs.items():
         out[idx] = out.get(idx, 0j) + c
-    return SpinElement(x.ctx, x.color, _cleaned(x.ctx, out))
+    return SpinElement(x.ctx, x.color, _cleaned(out))
 
 
 def scale(c, x: SpinElement) -> SpinElement:
@@ -308,7 +300,7 @@ def mult(x: SpinElement, y: SpinElement) -> SpinElement:
         for bottom, d in buckets.get((idx.left, idx.bottom, idx.right, idx.s), ()):
             key = SpinIndex(idx.left, idx.top, bottom, idx.right, idx.s)
             out[key] = out.get(key, 0j) + c * d
-    return SpinElement(x.ctx, x.color, _cleaned(x.ctx, out))
+    return SpinElement(x.ctx, x.color, _cleaned(out))
 
 
 def unit(ctx: SpinContext, color: SpinColor) -> SpinElement:
@@ -413,15 +405,6 @@ def inner_product(x: SpinElement, y: SpinElement) -> complex:
 
 def norm(x: SpinElement) -> float:
     return math.sqrt(max(inner_product(x, x).real, 0.0))
-
-
-def approx_eq(x: SpinElement, y: SpinElement, tol: float | None = None) -> bool:
-    """Coefficientwise comparison within an absolute tolerance."""
-    if x.color != y.color:
-        return False
-    tol = x.ctx.tol if tol is None else tol
-    keys = set(x.coeffs) | set(y.coeffs)
-    return all(abs(x.coefficient(k) - y.coefficient(k)) <= tol for k in keys)
 
 
 def coeff_distance(x: SpinElement, y: SpinElement) -> float:

@@ -40,7 +40,8 @@ def validate_group(table) -> int:
         raise GroupValidationError("closure", f"table must be square, got {n} rows")
     for r in rows:
         for v in r:
-            if not isinstance(v, (int, np.integer)) or not 1 <= v <= n:
+            # bool is an int subclass: JSON true must not pass as element 1
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 1 <= v <= n:
                 raise GroupValidationError("closure", f"entry {v!r} outside 1..{n}")
 
     def mul(a, b):

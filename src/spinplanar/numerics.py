@@ -1,12 +1,12 @@
 """Dense complex linear algebra helpers.
 
-Thin wrappers around numpy/scipy: adjoints, singular values,
-deterministic kernel extraction with a relative singular-value threshold, and
-operator-norm defects.  Everything is double precision; inputs are validated
-to be finite.  Singular value decompositions use one fixed LAPACK driver
-('gesvd') so that reported dimensions are reproducible; for a kernel of a
-tall matrix it runs on the triangular factor R of a Householder QR
-('geqrf'), which has the same singular values and right singular vectors.
+Thin wrappers around numpy/scipy: singular values, deterministic kernel
+extraction with a relative singular-value threshold, and operator-norm
+defects.  Everything is double precision; inputs are validated to be finite.
+Singular value decompositions use one fixed LAPACK driver ('gesvd') so that
+reported dimensions are reproducible; for a kernel of a tall matrix it runs
+on the triangular factor R of a Householder QR ('geqrf'), which has the same
+singular values and right singular vectors.
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def adjoint(a) -> np.ndarray:
-    return as_matrix(a).conj().T
 
 
 def subtract_identity(a) -> np.ndarray:

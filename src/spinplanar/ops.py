@@ -1,37 +1,42 @@
 """Color-changing tangle operations on spin planar algebra elements.
 
 These are the generating operations out of which every structural map of the
-engine is composed: the one-click rotation and its inverse, the right and
-left inclusions, the right and left conditional expectations (caps), and the
+engine is composed: rotation by any number of clicks, the right and left
+inclusions, the right and left conditional expectations (caps), and the
 partial swap on width-4 plus-shaded elements.  Together with multiplication,
 star and the unit (in `core`) they generate all tangle actions used here.
 
 Conventions, stated once (linear extension everywhere; N spins, delta=sqrt(N);
 basis elements written e[p)^I_J(q] with I, J the top/bottom tuples):
 
-rotate (one click counterclockwise), (k,eps) -> (k,-eps):
-    (2m,+):    e^{i_1..i_m}_{j_1..j_m}         |-> sqrt(N) e[j_1)^{i_1..i_{m-1}}_{j_2..j_m}(i_m]
-    (2m+2,-):  e[p)^I_J(q]                     |-> (1/sqrt(N)) e^{p,i_1..i_m}_{j_1..j_m,q}
-    (2m+1,+):  e^I_J(q]                        |-> e[j_1)^{i_1..i_m}_{j_2..j_m,q}
-    (2m+1,-):  e[p)^I_J                        |-> e^{p,i_1..i_{m-1}}_{j_1..j_m}(i_m]
-    degenerate m=0 cases carry coefficient 1: e(q] |-> e[q) and e[p) |-> e(p].
-    A full turn (2k clicks on width k) is the identity.
+rotate_pow (l clicks counterclockwise; clockwise for l < 0), (k,eps) ->
+    (k,eps(-1)^l).  A basis element of width k >= 1 is read as its boundary
+    word of k labels: the left slot p, the top tuple I, the right slot q and
+    the bottom tuple J reversed, absent slots skipped.  Rotation only
+    relabels the boundary: every click that starts on a plus shading moves
+    the last label of the word to the front, a click that starts on a minus
+    shading keeps the word, and the target color lays the word out again.
+    The coefficient is delta^((slots(target) - slots(source))/2), where slots
+    counts the left and right slots.  For example e^{i_1}_{j_1} |-> sqrt(N)
+    e[j_1)(i_1] and e[p)(q] |-> (1/sqrt(N)) e^p_q.  A full turn (2k clicks)
+    is the identity; a half turn (k clicks) has coefficient 1.
 
 incl_right, (k,eps) -> (k+1,eps): the right slot folds into a new equal
     top/bottom pair; with no right slot a sum over a fresh right slot appears;
     1 |-> sum_q e(q] on (0,+) and S(p) |-> e[p) on (0,-).
-
-incl_left, (k,eps) -> (k+1,-eps): mirror image; p prepends to top and bottom;
-    with no left slot a sum over a fresh left slot appears; 1 |-> sum_p e[p)
-    on (0,+) and S(p) |-> e(p] on (0,-).
 
 cond_right, (k+1,eps) -> (k,eps): cap on the right; a right slot is dropped
     with coefficient 1/sqrt(N); otherwise the last top/bottom pair contracts,
     contributing sqrt(N) delta_{ab} and reopening the right slot;
     (1,+): e(q] |-> (1/sqrt(N)) 1 and (1,-): e[p) |-> sqrt(N) S(p).
 
-cond_left, (k,eps) -> (k-1,-eps): mirror image on the left;
-    (1,+): e(q] |-> sqrt(N) S(q) and (1,-): e[p) |-> (1/sqrt(N)) 1.
+incl_left and cond_left are the right-hand tangles seen after a half turn:
+    t left inclusions of a width-k element are rotate_pow(incl_right^t(
+    rotate_pow(x, k)), k + t), and t left caps are rotate_pow(cond_right^t(
+    rotate_pow(x, k)), k - t).  So incl_left, (k,eps) -> (k+1,-eps), puts a
+    new pair (or a fresh summed left slot) on the left, and cond_left,
+    (k,eps) -> (k-1,-eps), caps there; (1,+): e(q] |-> sqrt(N) S(q) and
+    (1,-): e[p) |-> (1/sqrt(N)) 1.
 
 All the sqrt(N) constants are pinned by the trace-compatibility and
 adjunction identities tested in the suite: cond o incl = delta * id on both
@@ -41,107 +46,70 @@ left), and equality of left and right picture traces with delta^k tau.
 
 from __future__ import annotations
 
-from .core import (MINUS, PLUS, SCALAR_INDEX, SpinColor, SpinElement,
-                   SpinIndex, check_color, mult, normalized_trace, spin_state,
-                   star, unit, zero)
+from functools import lru_cache
+from operator import itemgetter
+
+from .core import (PLUS, SCALAR_INDEX, SpinColor, SpinElement, SpinIndex,
+                   _cleaned, check_color, normalized_trace, spin_state)
 
 
 def _out(x: SpinElement, color: SpinColor, coeffs: dict) -> SpinElement:
-    thr = x.ctx.prune
-    return SpinElement(x.ctx, check_color(color), {k: c for k, c in coeffs.items() if abs(c) > thr})
+    return SpinElement(x.ctx, check_color(color), _cleaned(coeffs))
 
 
-def rotate(x: SpinElement) -> SpinElement:
-    """One counterclockwise click; width must be >= 1."""
-    color = x.color
-    k = color.width
-    if k < 1:
-        raise ValueError(f"rotate needs width >= 1, got color {color}")
-    n = x.ctx.N
-    rt = n ** 0.5
-    target = SpinColor(k, -color.shading)
+def _slots(color: SpinColor) -> int:
+    return int(color.has_left) + int(color.has_right)
+
+
+def _boundary_word(color: SpinColor) -> list[int]:
+    """Positions of the boundary word in the slot tuple (p, *I, *J, q, None)."""
     m = color.pairs
-    out: dict[SpinIndex, complex] = {}
-    for idx, c in x.coeffs.items():
-        if color.shading == PLUS and not color.has_right:
-            # (2m,+), m >= 1
-            key = SpinIndex(idx.bottom[0], idx.top[:-1], idx.bottom[1:], idx.top[-1])
-            val = c * rt
-        elif color.shading == MINUS and color.has_right:
-            # (2m+2,-)
-            key = SpinIndex(None, (idx.left,) + idx.top, idx.bottom + (idx.right,), None)
-            val = c / rt
-        elif color.shading == PLUS:
-            # (2m+1,+)
-            if m == 0:
-                key = SpinIndex(idx.right, (), (), None)
-            else:
-                key = SpinIndex(idx.bottom[0], idx.top, idx.bottom[1:] + (idx.right,), None)
-            val = c
-        else:
-            # (2m+1,-)
-            if m == 0:
-                key = SpinIndex(None, (), (), idx.left)
-            else:
-                key = SpinIndex(None, (idx.left,) + idx.top[:-1], idx.bottom, idx.top[-1])
-            val = c
-        out[key] = out.get(key, 0j) + val
-    return _out(x, target, out)
+    word = [0] if color.has_left else []
+    word += range(1, m + 1)
+    if color.has_right:
+        word.append(2 * m + 1)
+    return word + list(range(2 * m, m, -1))
 
 
-def rotate_inv(x: SpinElement) -> SpinElement:
-    """One clockwise click (the inverse of rotate); width must be >= 1."""
-    color = x.color
-    k = color.width
-    if k < 1:
-        raise ValueError(f"rotate_inv needs width >= 1, got color {color}")
-    n = x.ctx.N
-    rt = n ** 0.5
-    target = SpinColor(k, -color.shading)
-    m = color.pairs
-    out: dict[SpinIndex, complex] = {}
-    for idx, c in x.coeffs.items():
-        if color.shading == MINUS and color.has_right:
-            # (2m,-): inverse of the (2m,+) rule
-            key = SpinIndex(None, idx.top + (idx.right,), (idx.left,) + idx.bottom, None)
-            val = c / rt
-        elif color.shading == PLUS and not color.has_right:
-            # (2m+2,+): inverse of the (2m+2,-) rule
-            key = SpinIndex(idx.top[0], idx.top[1:], idx.bottom[:-1], idx.bottom[-1])
-            val = c * rt
-        elif color.shading == MINUS:
-            # (2m+1,-): inverse of the (2m+1,+) rule
-            if m == 0:
-                key = SpinIndex(None, (), (), idx.left)
-            else:
-                key = SpinIndex(None, idx.top, (idx.left,) + idx.bottom[:-1], idx.bottom[-1])
-            val = c
-        else:
-            # (2m+1,+): inverse of the (2m+1,-) rule
-            if m == 0:
-                key = SpinIndex(idx.right, (), (), None)
-            else:
-                key = SpinIndex(idx.top[0], idx.top[1:] + (idx.right,), idx.bottom, None)
-            val = c
-        out[key] = out.get(key, 0j) + val
-    return _out(x, target, out)
+@lru_cache(maxsize=None)
+def _rotation_plan(color: SpinColor, clicks: int):
+    """Target color, slot getter, target pairs and delta exponent of 0 < clicks < 2k."""
+    target = SpinColor(color.width, color.shading * (-1) ** clicks)
+    shift = (clicks + (color.shading == PLUS)) // 2  # clicks that start on plus
+    source, word = _boundary_word(color), _boundary_word(target)
+    m = target.pairs
+    positions = [2 * color.pairs + 2] * (2 * m + 2)  # absent slots read the None
+    for i, p in enumerate(word):
+        positions[p] = source[(i - shift) % color.width]
+    return target, itemgetter(*positions), m, (_slots(target) - _slots(color)) // 2
 
 
 def rotate_pow(x: SpinElement, l: int) -> SpinElement:
-    """l-fold rotation; negative l rotates clockwise.  Width 0 only for l = 0."""
+    """l counterclockwise clicks in one pass; negative l rotates clockwise.
+
+    Width 0 only for l = 0.
+    """
     if l == 0:
         return x
     k = x.color.width
     if k < 1:
-        raise ValueError(f"rotate_pow needs width >= 1 for l != 0, got {x.color}")
-    l = l % (2 * k)  # a full turn is the identity
-    if l > k:  # shorter to go the other way
-        for _ in range(2 * k - l):
-            x = rotate_inv(x)
+        raise ValueError(f"rotation needs width >= 1, got color {x.color}")
+    clicks = l % (2 * k)
+    if clicks == 0:  # a full turn is the identity
         return x
-    for _ in range(l):
-        x = rotate(x)
-    return x
+    target, get, m, power = _rotation_plan(x.color, clicks)
+    d = x.ctx.delta
+    out: dict[SpinIndex, complex] = {}
+    for idx, c in x.coeffs.items():  # a bijection on indices
+        s = get((idx.left, *idx.top, *idx.bottom, idx.right, None))
+        out[SpinIndex(s[0], s[1:m + 1], s[m + 1:-1], s[-1])] = (
+            c * d if power > 0 else c / d if power else c)
+    return _out(x, target, out)
+
+
+def rotate(x: SpinElement) -> SpinElement:
+    """One counterclockwise click; width must be >= 1."""
+    return rotate_pow(x, 1)
 
 
 def incl_right(x: SpinElement) -> SpinElement:
@@ -171,40 +139,12 @@ def incl_right(x: SpinElement) -> SpinElement:
     return _out(x, target, out)
 
 
-def incl_left(x: SpinElement) -> SpinElement:
-    """Left inclusion, (k,eps) -> (k+1,-eps)."""
-    color = x.color
-    ctx = x.ctx
-    target = SpinColor(color.width + 1, -color.shading)
-    out: dict[SpinIndex, complex] = {}
-    if color.width == 0 and color.shading == PLUS:
-        c0 = x.coefficient(SCALAR_INDEX)
-        if c0 != 0:
-            for p in ctx.spins():
-                out[SpinIndex(p, (), (), None)] = c0
-        return _out(x, target, out)
-    if color.width == 0:
-        for idx, c in x.coeffs.items():
-            out[SpinIndex(None, (), (), idx.s)] = c
-        return _out(x, target, out)
-    if color.has_left:
-        for idx, c in x.coeffs.items():
-            key = SpinIndex(None, (idx.left,) + idx.top, (idx.left,) + idx.bottom, idx.right)
-            out[key] = out.get(key, 0j) + c
-    else:
-        for idx, c in x.coeffs.items():
-            for p in ctx.spins():
-                out[SpinIndex(p, idx.top, idx.bottom, idx.right)] = c
-    return _out(x, target, out)
-
-
 def cond_right(x: SpinElement) -> SpinElement:
     """Right conditional expectation (cap), (k+1,eps) -> (k,eps)."""
     color = x.color
-    ctx = x.ctx
     if color.width < 1:
         raise ValueError(f"cond_right needs width >= 1, got {color}")
-    rt = ctx.N ** 0.5
+    rt = x.ctx.delta
     target = SpinColor(color.width - 1, color.shading)
     out: dict[SpinIndex, complex] = {}
     if color.width == 1:
@@ -227,44 +167,9 @@ def cond_right(x: SpinElement) -> SpinElement:
     return _out(x, target, out)
 
 
-def cond_left(x: SpinElement) -> SpinElement:
-    """Left conditional expectation (cap), (k,eps) -> (k-1,-eps)."""
-    color = x.color
-    ctx = x.ctx
-    if color.width < 1:
-        raise ValueError(f"cond_left needs width >= 1, got {color}")
-    rt = ctx.N ** 0.5
-    target = SpinColor(color.width - 1, -color.shading)
-    out: dict[SpinIndex, complex] = {}
-    if color.width == 1:
-        for idx, c in x.coeffs.items():
-            if color.shading == PLUS:  # e(q] |-> sqrt(N) S(q)
-                key = spin_state(idx.right)
-                out[key] = out.get(key, 0j) + c * rt
-            else:  # e[p) |-> (1/sqrt N) 1
-                out[SCALAR_INDEX] = out.get(SCALAR_INDEX, 0j) + c / rt
-        return _out(x, target, out)
-    if color.has_left:
-        for idx, c in x.coeffs.items():
-            key = SpinIndex(None, idx.top, idx.bottom, idx.right)
-            out[key] = out.get(key, 0j) + c / rt
-    else:
-        for idx, c in x.coeffs.items():
-            if idx.top[0] == idx.bottom[0]:
-                key = SpinIndex(idx.top[0], idx.top[1:], idx.bottom[1:], idx.right)
-                out[key] = out.get(key, 0j) + c * rt
-    return _out(x, target, out)
-
-
 def incl_right_pow(x: SpinElement, times: int) -> SpinElement:
     for _ in range(times):
         x = incl_right(x)
-    return x
-
-
-def incl_left_pow(x: SpinElement, times: int) -> SpinElement:
-    for _ in range(times):
-        x = incl_left(x)
     return x
 
 
@@ -274,10 +179,28 @@ def cond_right_pow(x: SpinElement, times: int) -> SpinElement:
     return x
 
 
+def incl_left_pow(x: SpinElement, times: int) -> SpinElement:
+    """times left inclusions: the right ones between half turns."""
+    k = x.color.width
+    return rotate_pow(incl_right_pow(rotate_pow(x, k), times), k + times)
+
+
 def cond_left_pow(x: SpinElement, times: int) -> SpinElement:
-    for _ in range(times):
-        x = cond_left(x)
-    return x
+    """times left caps: the right ones between half turns."""
+    k = x.color.width
+    return rotate_pow(cond_right_pow(rotate_pow(x, k), times), k - times)
+
+
+def incl_left(x: SpinElement) -> SpinElement:
+    """Left inclusion, (k,eps) -> (k+1,-eps)."""
+    return incl_left_pow(x, 1)
+
+
+def cond_left(x: SpinElement) -> SpinElement:
+    """Left conditional expectation (cap), (k,eps) -> (k-1,-eps)."""
+    if x.color.width < 1:
+        raise ValueError(f"cond_left needs width >= 1, got {x.color}")
+    return cond_left_pow(x, 1)
 
 
 def partial_swap(x: SpinElement) -> SpinElement:
@@ -297,13 +220,9 @@ def picture_trace_right(x: SpinElement) -> complex:
     Equals delta^width * normalized_trace(x); the equality with the left
     closure (sphericality) is a tested contract, not an assumption.
     """
-    while x.color.width > 0:
-        x = cond_right(x)
-    return normalized_trace(x)
+    return normalized_trace(cond_right_pow(x, x.color.width))
 
 
 def picture_trace_left(x: SpinElement) -> complex:
     """Close all strands to the left, then take the normalized trace."""
-    while x.color.width > 0:
-        x = cond_left(x)
-    return normalized_trace(x)
+    return normalized_trace(cond_left_pow(x, x.color.width))

@@ -21,7 +21,7 @@ from .core import (PLUS, SpinColor, SpinContext, SpinElement, basis_order,
                    normalized_trace, star, unit)
 from .ops import (cond_left, cond_right, incl_left, incl_right,
                   picture_trace_left, picture_trace_right, rotate,
-                  rotate_inv, rotate_pow)
+                  rotate_pow)
 
 
 @dataclass
@@ -87,10 +87,10 @@ def run_relation_suite(n_spins: int, seed: int = 7, max_width: int = 4,
                        coeff_distance(cond_left(incl_left(x)), delta * x)))
             if c.width >= 1:
                 record("rotation full turn",
-                       coeff_distance(rotate_pow(x, 2 * c.width), x))
+                       coeff_distance(rotate_pow(rotate_pow(x, c.width), c.width), x))
                 record("rotation inverse",
-                       max(coeff_distance(rotate_inv(rotate(x)), x),
-                           coeff_distance(rotate(rotate_inv(x)), x)))
+                       max(coeff_distance(rotate_pow(rotate(x), -1), x),
+                           coeff_distance(rotate(rotate_pow(x, -1)), x)))
             # adjunction of incl/cond against the normalized trace:
             # tau(a . cond(w)) = delta . tau(incl(a) . w)
             w = random_element(ctx, incl_right(x).color, rng)

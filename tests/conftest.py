@@ -1,5 +1,7 @@
 """Shared fixtures and object builders for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,23 @@ def tensor_biunitary(n: int, seed: int = 11) -> sp.BiunitaryMatrix:
     """A (x) B for Haar-random unitaries A, B: always biunitary."""
     return sp.BiunitaryMatrix(n, np.kron(haar_unitary(n, seed),
                                          haar_unitary(n, seed + 1)))
+
+
+def rotation_formula(idx: sp.SpinIndex, color: sp.SpinColor, n: int):
+    """One rotation click on a basis index, written directly from the
+    four boundary cases (even/odd width, each shading) plus the width-1
+    degenerations. Deliberately separate from the library implementation."""
+    rn = math.sqrt(n)
+    k = color.width
+    if k == 1 and color.shading == sp.PLUS:
+        return {sp.SpinIndex(idx.right, (), (), None): 1.0}
+    if k == 1 and color.shading == sp.MINUS:
+        return {sp.SpinIndex(None, (), (), idx.left): 1.0}
+    top, bottom = idx.top, idx.bottom
+    if color.shading == sp.PLUS and k % 2 == 0:
+        return {sp.SpinIndex(bottom[0], top[:-1], bottom[1:], top[-1]): rn}
+    if color.shading == sp.MINUS and k % 2 == 0:
+        return {sp.SpinIndex(None, (idx.left,) + top, bottom + (idx.right,), None): 1.0 / rn}
+    if color.shading == sp.PLUS:
+        return {sp.SpinIndex(bottom[0], top, bottom[1:] + (idx.right,), None): 1.0}
+    return {sp.SpinIndex(None, (idx.left,) + top[:-1], bottom, top[-1]): 1.0}

@@ -6,7 +6,6 @@ capture. Shared towers are built lazily and cached; the timed criteria
 always build fresh.
 """
 
-import math
 import sys
 import time
 
@@ -15,7 +14,7 @@ import pytest
 
 import spinplanar as sp
 import oracle_dense as od
-from conftest import LATIN5_ROWS, tensor_biunitary
+from conftest import LATIN5_ROWS, rotation_formula, tensor_biunitary
 
 
 _CAPTURE = None
@@ -106,26 +105,6 @@ def test_ac01_relation_suite():
 
 # ---------------------------------------------------------------------------
 # AC2: rotation against an independent transcription of the boundary formulas
-
-
-def rotation_formula(idx: sp.SpinIndex, color: sp.SpinColor, n: int):
-    """One rotation click on a basis index, written directly from the
-    four boundary cases (even/odd width, each shading) plus the width-1
-    degenerations. Deliberately separate from the library implementation."""
-    rn = math.sqrt(n)
-    k = color.width
-    if k == 1 and color.shading == sp.PLUS:
-        return {sp.SpinIndex(idx.right, (), (), None): 1.0}
-    if k == 1 and color.shading == sp.MINUS:
-        return {sp.SpinIndex(None, (), (), idx.left): 1.0}
-    top, bottom = idx.top, idx.bottom
-    if color.shading == sp.PLUS and k % 2 == 0:
-        return {sp.SpinIndex(bottom[0], top[:-1], bottom[1:], top[-1]): rn}
-    if color.shading == sp.MINUS and k % 2 == 0:
-        return {sp.SpinIndex(None, (idx.left,) + top, bottom + (idx.right,), None): 1.0 / rn}
-    if color.shading == sp.PLUS:
-        return {sp.SpinIndex(bottom[0], top, bottom[1:] + (idx.right,), None): 1.0}
-    return {sp.SpinIndex(None, (idx.left,) + top[:-1], bottom, top[-1]): 1.0}
 
 
 def test_ac02_rotation_formulas():

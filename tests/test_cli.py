@@ -238,6 +238,27 @@ def test_bad_max_level(files, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_bad_cap(files, capsys, cap):
+    code, _, err = run(capsys, "qdims", "--input", files["fourier2"], "--cap", cap)
+    assert code == 2
+    assert "--cap must be positive" in err
+
+
+def test_bad_spins(capsys):
+    code, _, err = run(capsys, "selftest", "--spins", "0")
+    assert code == 2
+    assert "--spins must be positive" in err
+
+
+def test_group_table_of_booleans(tmp_path, capsys):
+    table = tmp_path / "bools.json"
+    table.write_text("[[true]]")
+    code, _, err = run(capsys, "group", "--input", str(table))
+    assert code == 2
+    assert "closure" in err
+
+
 def test_unknown_command(capsys):
     code = cli.main(["frobnicate"])
     capsys.readouterr()

@@ -31,6 +31,11 @@ def test_axiom_violations_are_named():
         sp.validate_group([[1, 2, 3], [2, 2, 2], [3, 2, 3]])
     assert err.value.axiom == "inverses"
 
+    # JSON true is not the element 1, although bool is an int subclass
+    with pytest.raises(sp.GroupValidationError) as err:
+        sp.validate_group([[True]])
+    assert err.value.axiom == "closure"
+
     # relabeled identity is still found
     assert sp.validate_group([[2, 1], [1, 2]]) == 2
 

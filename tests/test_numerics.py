@@ -17,11 +17,6 @@ def test_as_matrix_rejects_bad_input():
         numerics.as_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
-def test_adjoint_involution():
-    a = np.array([[1 + 2j, 3], [0, 1j]])
-    assert np.array_equal(numerics.adjoint(numerics.adjoint(a)), a)
-
-
 def test_fourier_unitarity():
     n = 2
     f = np.array([[1, 1], [1, -1]], dtype=complex)

@@ -1,12 +1,15 @@
 """Rotation, inclusions, conditional expectations, traces, partial swap."""
 
+import math
+
 import numpy as np
 import pytest
 
 import spinplanar as sp
-from spinplanar.ops import (cond_left, cond_right, incl_left, incl_right,
-                            partial_swap, picture_trace_left,
-                            picture_trace_right, rotate, rotate_inv,
+from conftest import rotation_formula
+from spinplanar.ops import (cond_left, cond_left_pow, cond_right, incl_left,
+                            incl_left_pow, incl_right, partial_swap,
+                            picture_trace_left, picture_trace_right, rotate,
                             rotate_pow)
 
 
@@ -39,9 +42,37 @@ def test_rotate_full_turn_and_inverse(ctx2, ctx3, rng):
         for k in range(1, 5):
             for sh in (sp.PLUS, sp.MINUS):
                 x = sp.random_element(ctx, sp.SpinColor(k, sh), rng)
-                assert sp.coeff_distance(rotate_pow(x, 2 * k), x) < 1e-12
-                assert sp.coeff_distance(rotate_inv(rotate(x)), x) < 1e-13
+                turned = x
+                for _ in range(2 * k):
+                    turned = rotate(turned)
+                assert sp.coeff_distance(turned, x) < 1e-12
+                assert sp.coeff_distance(rotate_pow(rotate(x), -1), x) < 1e-13
                 assert sp.coeff_distance(rotate_pow(rotate_pow(x, 3), -3), x) < 1e-13
+
+
+def test_rotate_pow_matches_iterated_formula():
+    # l clicks in one pass against (l mod 2k) single clicks of the
+    # independent transcription, on every basis element
+    worst = 0.0
+    for n in (2, 3):
+        ctx = sp.SpinContext(n)
+        for k in range(1, 7):
+            for sh in (sp.PLUS, sp.MINUS):
+                for idx in sp.basis_order(ctx, sp.SpinColor(k, sh)):
+                    clicks = [{idx: 1.0}]
+                    for j in range(2 * k - 1):
+                        (key, c), = clicks[-1].items()
+                        color = sp.SpinColor(k, sh * (-1) ** j)
+                        clicks.append({q: c * v for q, v in
+                                       rotation_formula(key, color, n).items()})
+                    e = sp.make_basis(ctx, idx)
+                    for l in range(-2 * k - 1, 2 * k + 2):
+                        got = rotate_pow(e, l)
+                        want = clicks[l % (2 * k)]
+                        assert got.color == sp.SpinColor(k, sh * (-1) ** l)
+                        assert set(got.coeffs) == set(want)
+                        worst = max([worst] + [abs(got.coeffs[q] - v) for q, v in want.items()])
+    assert worst <= 1e-14
 
 
 def test_rotate_width_zero_errors(ctx2):
@@ -157,3 +188,74 @@ def test_rotation_is_trace_preserving_up_to_shading(ctx2, rng):
     x = sp.random_element(ctx2, sp.SpinColor(2, sp.PLUS), rng)
     half = rotate_pow(x, 2)
     assert abs(sp.normalized_trace(half) - sp.normalized_trace(x)) < 1e-13
+
+
+def incl_left_rule(idx, color, n):
+    """One left inclusion of a basis index, transcribed from its own rules
+    (not derived from rotation): p prepends to top and bottom; with no left
+    slot a fresh left slot is summed over; 1 |-> sum_p e[p), S(p) |-> e(p]."""
+    if color.width == 0 and color.shading == sp.PLUS:
+        return {sp.SpinIndex(p, (), (), None): 1.0 for p in range(1, n + 1)}
+    if color.width == 0:
+        return {sp.SpinIndex(None, (), (), idx.s): 1.0}
+    if idx.left is not None:
+        p = idx.left
+        return {sp.SpinIndex(None, (p,) + idx.top, (p,) + idx.bottom, idx.right): 1.0}
+    return {sp.SpinIndex(p, idx.top, idx.bottom, idx.right): 1.0 for p in range(1, n + 1)}
+
+
+def cond_left_rule(idx, color, n):
+    """One left cap of a basis index, transcribed from its own rules: a left
+    slot drops with 1/sqrt(N); otherwise the first top/bottom pair contracts
+    with sqrt(N) and reopens the left slot; e(q] |-> sqrt(N) S(q) and
+    e[p) |-> (1/sqrt(N)) 1."""
+    rn = math.sqrt(n)
+    if color.width == 1 and color.shading == sp.PLUS:
+        return {sp.SpinIndex(s=idx.right): rn}
+    if color.width == 1:
+        return {sp.SpinIndex(): 1.0 / rn}
+    if idx.left is not None:
+        return {sp.SpinIndex(None, idx.top, idx.bottom, idx.right): 1.0 / rn}
+    if idx.top[0] != idx.bottom[0]:
+        return {}
+    return {sp.SpinIndex(idx.top[0], idx.top[1:], idx.bottom[1:], idx.right): rn}
+
+
+def test_left_tangles_match_their_own_rules():
+    # incl_left and cond_left are half-turn conjugates of the right-hand
+    # tangles; they must reproduce the left rules exactly
+    for n in (2, 3):
+        ctx = sp.SpinContext(n)
+        for k in range(0, 6):
+            for sh in (sp.PLUS, sp.MINUS):
+                color = sp.SpinColor(k, sh)
+                for idx in sp.basis_order(ctx, color):
+                    e = sp.make_basis(ctx, idx)
+                    got = incl_left(e)
+                    assert got.color == sp.SpinColor(k + 1, -sh)
+                    assert got.coeffs == incl_left_rule(idx, color, n)
+                    if k >= 1:
+                        got = cond_left(e)
+                        assert got.color == sp.SpinColor(k - 1, -sh)
+                        assert got.coeffs == cond_left_rule(idx, color, n)
+
+
+def test_left_powers_equal_single_steps(ctx2, ctx3, rng):
+    for ctx in (ctx2, ctx3):
+        for k in range(0, 5):
+            for sh in (sp.PLUS, sp.MINUS):
+                x = sp.random_element(ctx, sp.SpinColor(k, sh), rng)
+                stepped = x
+                for t in range(4):
+                    assert sp.coeff_distance(incl_left_pow(x, t), stepped) == 0.0
+                    stepped = incl_left(stepped)
+                stepped = x
+                for t in range(min(k, 3) + 1):
+                    assert sp.coeff_distance(cond_left_pow(x, t), stepped) == 0.0
+                    if t < k:
+                        stepped = cond_left(stepped)
+
+
+def test_cond_left_width_zero_errors(ctx2):
+    with pytest.raises(ValueError, match="cond_left"):
+        cond_left(sp.unit(ctx2, sp.SpinColor(0, sp.PLUS)))
