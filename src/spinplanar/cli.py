@@ -115,12 +115,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    obj = qit.load_qit(args.input)
-    try:
-        u, _ = _convert(obj, args.tol)
-    except QitValidationError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FALSE
+    u, _ = _convert(qit.load_qit(args.input), args.tol)
     print(json.dumps(qit.element_to_json(u), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -167,11 +162,7 @@ def cmd_qdims(args) -> int:
               "kernel tower is only defined for the {0,l}-biunitary families "
               "(hadamard, latin, qls, biunitary)", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        u, ell = _convert(obj, args.tol)
-    except QitValidationError as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_FALSE
+    u, ell = _convert(obj, args.tol)
     cert = qit.is_biunitary(u, ell, args.tol)
     if not cert.verdict:
         print(f"certificate {cert.kind} failed:", file=sys.stderr)
@@ -205,14 +196,7 @@ def cmd_group(args) -> int:
         table = groups.builtin_group(args.name)
         label = args.name.upper()
     else:
-        try:
-            with open(args.input) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise QitParseError(f"cannot read {args.input}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise QitParseError(f"{args.input}: invalid JSON at line {exc.lineno}: "
-                                f"{exc.msg}") from None
+        data = qit.read_json(args.input)
         rows = data.get("rows", data) if isinstance(data, dict) else data
         if not isinstance(rows, list):
             raise QitParseError("a group table file holds a JSON array of rows "
@@ -296,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"refuse operators with more than this many rows "
                                 f"(default {DEFAULT_CAP})")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=7, help="seed for randomized suites")
 
     p_check = sub.add_parser("check", help="validate an object and certify biunitarity")
     common(p_check)
@@ -321,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="randomized relation suite")
     common(p_self, needs_input=False)
     p_self.add_argument("--spins", type=int, default=2, help="number of spins N")
+    p_self.add_argument("--seed", type=int, default=7, help="seed of the random elements")
     p_self.set_defaults(func=cmd_selftest, needs_input=False)
     return parser
 

@@ -11,18 +11,23 @@ The slot layout is a pure function of the color: the left slot [p) is present
 exactly when the shading is minus, the right slot (q] is present exactly when
 width + (1 if minus else 0) is odd, and the remaining spins pair up into a
 top tuple and a bottom tuple of equal length m = (width - #left - #right)/2.
-Each space has dimension N^width (N for (0,-), 1 for (0,+)).
+The spin s of S(s) on (0,-) takes the place of the left slot.
 
 The basis is normalized so that multiplication is exactly the matrix-unit
 rule
 
     e[p)^I_J(q] . e[p')^K_L(q'] = delta_pp' delta_JK delta_qq' e[p)^I_L(q]
 
-which makes every space a finite dimensional C*-algebra.  Under this rule the
-spaces decompose into matrix blocks indexed by the slot values (top tuple =
-row, bottom tuple = column), which is what `algebra_blocks` exposes; operator
-norms and unitarity defects are exact largest-singular-value computations on
-those blocks.  The loop parameter (modulus) of the algebra is delta = sqrt(N).
+which makes every space a finite dimensional C*-algebra: one matrix block per
+value of the slots, with the top tuple as row and the bottom tuple as column.
+`basis_indices` enumerates the basis in (left, top, bottom, right) order, so
+a coefficient vector reshapes to (n_left, size, size, n_right) with
+(n_left, size, n_right) = `block_shape` (N or 1 per present or absent slot,
+size = N^m).  The blocks (`algebra_blocks`), the unit, the trace weight and
+the dimension N^width (N for (0,-), 1 for (0,+)) are all read off that shape;
+operator norms and unitarity defects are exact largest-singular-value
+computations on the blocks.  The loop parameter (modulus) of the algebra is
+delta = sqrt(N).
 """
 
 from __future__ import annotations
@@ -112,12 +117,23 @@ def check_color(color: SpinColor) -> SpinColor:
     return color
 
 
+def block_shape(ctx: SpinContext, color: SpinColor) -> tuple[int, int, int]:
+    """(n_left, size, n_right) of a color: its coefficient vectors, in the
+    order of `basis_indices`, reshape to (n_left, size, size, n_right).
+
+    N or 1 per present or absent slot, the S(s) of (0,-) filling the left
+    one, and size = N^pairs: (N, 1, 1) on (0,-), (1, 1, 1) on (0,+).
+    """
+    n_left = ctx.N if color.shading == MINUS else 1
+    n_right = ctx.N if color.has_right else 1
+    return n_left, ctx.N ** color.pairs, n_right
+
+
 def color_dim(ctx: SpinContext, color: SpinColor) -> int:
     """dim P_(k,+-) = N^k for k >= 1; N for (0,-); 1 for (0,+)."""
     check_color(color)
-    if color.width == 0:
-        return ctx.N if color.shading == MINUS else 1
-    return ctx.N ** color.width
+    n_left, size, n_right = block_shape(ctx, color)
+    return n_left * size * size * n_right
 
 
 class SpinIndex(NamedTuple):
@@ -304,24 +320,11 @@ def mult(x: SpinElement, y: SpinElement) -> SpinElement:
 
 
 def unit(ctx: SpinContext, color: SpinColor) -> SpinElement:
-    """The multiplicative identity of a color.
-
-    (0,+): the scalar 1.  (0,-): sum of all S(s).  Otherwise: the sum of all
-    diagonal (top = bottom) indices over all slot values.
+    """The multiplicative identity of a color: the sum of its diagonal
+    (top = bottom) basis elements, among them the scalar 1 and every S(s).
     """
-    check_color(color)
-    if color.width == 0:
-        if color.shading == PLUS:
-            return SpinElement(ctx, color, {SCALAR_INDEX: 1.0 + 0j})
-        return SpinElement(ctx, color, {spin_state(s): 1.0 + 0j for s in ctx.spins()})
-    lefts = list(ctx.spins()) if color.has_left else [None]
-    rights = list(ctx.spins()) if color.has_right else [None]
-    coeffs = {}
-    for p in lefts:
-        for q in rights:
-            for top in itertools.product(ctx.spins(), repeat=color.pairs):
-                coeffs[SpinIndex(p, top, top, q)] = 1.0 + 0j
-    return SpinElement(ctx, color, coeffs)
+    return SpinElement(ctx, color, {idx: 1.0 + 0j for idx in basis_order(ctx, color)
+                                    if idx.top == idx.bottom})
 
 
 def basis_indices(ctx: SpinContext, color: SpinColor) -> Iterator[SpinIndex]:
@@ -378,12 +381,11 @@ def basis_weight(ctx: SpinContext, color: SpinColor) -> float:
     """tau(e* . e), the same for every basis element e of the color.
 
     The basis is orthogonal for <x, y> = tau(y* . x), so its Gram matrix is
-    this weight times the identity: N^-(pairs + #slots) for width >= 1, 1/N
-    on (0,-) and 1 on (0,+).
+    this weight times the identity: one over the number of diagonal basis
+    elements, n_left * size * n_right.
     """
-    if color.width == 0:
-        return 1.0 / ctx.N if color.shading == MINUS else 1.0
-    return ctx.N ** -(color.pairs + int(color.has_left) + int(color.has_right))
+    n_left, size, n_right = block_shape(ctx, color)
+    return 1.0 / (n_left * size * n_right)
 
 
 def normalized_trace(x: SpinElement) -> complex:
@@ -415,35 +417,18 @@ def coeff_distance(x: SpinElement, y: SpinElement) -> float:
     return max((abs(x.coefficient(k) - y.coefficient(k)) for k in keys), default=0.0)
 
 
-def _block_keys(ctx: SpinContext, color: SpinColor) -> list[tuple]:
-    if color.width == 0:
-        if color.shading == MINUS:
-            return [(None, None, s) for s in ctx.spins()]
-        return [(None, None, None)]
-    lefts = list(ctx.spins()) if color.has_left else [None]
-    rights = list(ctx.spins()) if color.has_right else [None]
-    return [(p, q, None) for p in lefts for q in rights]
+def algebra_blocks(x: SpinElement) -> np.ndarray:
+    """The element as a stack of dense matrix blocks (multi-matrix algebra view).
 
-
-def algebra_blocks(x: SpinElement) -> list[np.ndarray]:
-    """The element as a list of dense matrix blocks (multi-matrix algebra view).
-
-    One block per value of the (left, right) slots (per s for (0,-)), with the
-    top tuple as row index and the bottom tuple as column index.  Products and
-    adjoints of elements correspond to blockwise matrix products and conjugate
-    transposes, and unit() corresponds to the identity in every block.
+    One block per value of the (left, right) slots, left slowest (per s for
+    (0,-)), with the top tuple as row index and the bottom tuple as column
+    index, shaped by `block_shape`.  Products and adjoints of elements
+    correspond to blockwise matrix products and conjugate transposes, and
+    unit() corresponds to the identity in every block.
     """
-    ctx, color = x.ctx, x.color
-    m = 0 if color.width == 0 else color.pairs
-    size = ctx.N ** m
-    tuples = {t: i for i, t in enumerate(itertools.product(ctx.spins(), repeat=m))}
-    blocks = {key: np.zeros((size, size), dtype=complex) for key in _block_keys(ctx, color)}
-    for idx, c in x.coeffs.items():
-        if idx.s is not None:
-            blocks[(None, None, idx.s)][0, 0] = c
-        else:
-            blocks[(idx.left, idx.right, None)][tuples[idx.top], tuples[idx.bottom]] = c
-    return [blocks[key] for key in sorted(blocks, key=lambda k: tuple(-1 if v is None else v for v in k))]
+    n_left, size, n_right = block_shape(x.ctx, x.color)
+    layout = vectorize(x).reshape(n_left, size, size, n_right)
+    return layout.transpose(0, 3, 1, 2).reshape(n_left * n_right, size, size)
 
 
 def op_norm(x: SpinElement) -> float:

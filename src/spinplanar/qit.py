@@ -526,16 +526,21 @@ def qit_from_json(data) -> QitObject:
     raise QitParseError(f"unknown object type {kind!r}")
 
 
-def load_qit(path: str) -> QitObject:
+def read_json(path: str):
+    """The parsed contents of a JSON file; unreadable files and broken JSON
+    raise QitParseError naming the path (and the line and column)."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise QitParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise QitParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                             f"{exc.msg}") from None
-    return qit_from_json(data)
+
+
+def load_qit(path: str) -> QitObject:
+    return qit_from_json(read_json(path))
 
 
 def element_to_json(u: SpinElement) -> dict:

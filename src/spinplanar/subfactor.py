@@ -30,8 +30,8 @@ import numpy as np
 
 from . import numerics
 from .core import (MINUS, PLUS, SpinColor, SpinContext, SpinElement,
-                   algebra_blocks, basis_order, basis_weight, color_dim, mult,
-                   star, unit, vectorize, devectorize, norm)
+                   algebra_blocks, basis_order, basis_weight, block_shape,
+                   color_dim, mult, star, unit, vectorize, devectorize, norm)
 from .ops import (cond_left_pow, cond_right_pow, incl_left_pow,
                   incl_right_pow, rotate_pow)
 from .groups import (orbit_representatives, orbit_sum, predicted_group_dims,
@@ -202,12 +202,8 @@ def membership_operator(stair: Staircase, m: int, minus: bool = False) -> Member
     um = stair.element(m, minus)
     target = um.color
     n_cols, n_rows = color_dim(ctx, ambient), color_dim(ctx, target)
-    # target positions run over (left, top, bottom, right) slot values; the
-    # blocks of um are ordered by (left, right), with top and bottom inside
-    n_left = ctx.N if target.has_left else 1
-    n_right = ctx.N if target.has_right else 1
-    size = ctx.N ** target.pairs
-    blocks = np.stack(algebra_blocks(um))
+    n_left, size, n_right = block_shape(ctx, target)
+    blocks = algebra_blocks(um)
     # one group of matrix units per right slot value: the inclusion's last
     # step, if it opened the right slot, copies the whole image once per
     # value.  The left slot is the same for all of a column.

@@ -103,6 +103,13 @@ def test_convert_is_deterministic_and_faithful(files, capsys):
     assert sp.coeff_distance(element, want) < 1e-15
 
 
+def test_convert_invalid_object(files, capsys):
+    code, out, err = run(capsys, "convert", "--input", files["allones"])
+    assert code == 1
+    assert out == ""
+    assert "invalid:" in err
+
+
 # ---------------------------------------------------------------------------
 # qdims
 
@@ -185,6 +192,18 @@ def test_group_bad_table(files, capsys):
     assert "closure" in err
 
 
+def test_group_missing_file(capsys):
+    code, _, err = run(capsys, "group", "--input", "/does/not/exist.json")
+    assert code == 2
+    assert "input error:" in err
+
+
+def test_group_broken_json_reports_line(files, capsys):
+    code, _, err = run(capsys, "group", "--input", files["broken"])
+    assert code == 2
+    assert "input error:" in err and "line 2" in err
+
+
 def test_group_needs_name_or_input(capsys):
     code, _, err = run(capsys, "group")
     assert code == 2
@@ -199,6 +218,15 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--spins", "2")
     assert code == 0
     assert "verdict: PASS" in out
+
+
+def test_seed_belongs_to_selftest_only(files, capsys):
+    code, _, err = run(capsys, "qdims", "--input", files["fourier2"], "--seed", "3")
+    assert code == 2
+    assert "--seed" in err
+    code, out, _ = run(capsys, "selftest", "--seed", "3")
+    assert code == 0
+    assert "seed=3" in out and "verdict: PASS" in out
 
 
 def test_selftest_json(capsys):

@@ -147,6 +147,49 @@ def test_blocks_and_operator_norm(ctx2):
     assert max(res.values()) == pytest.approx(1.0)
 
 
+def _tuple_position(n: int, spins: tuple[int, ...]) -> int:
+    pos = 0
+    for v in spins:
+        pos = pos * n + (v - 1)
+    return pos
+
+
+def test_algebra_blocks_place_matrix_units(ctx2, ctx3):
+    # e[p)^I_J(q] sits in block (p, q) at row I, column J; S(s) is block s
+    for ctx in (ctx2, ctx3):
+        n = ctx.N
+        for k in range(0, 6):
+            for sh in (sp.PLUS, sp.MINUS):
+                c = sp.SpinColor(k, sh)
+                order = sp.basis_order(ctx, c)
+                labeled = sp.from_coeffs(ctx, c, {idx: j + 1.0 for j, idx in enumerate(order)})
+                blocks = sp.algebra_blocks(labeled)
+                n_right = n if c.has_right else 1
+                assert blocks.shape[0] * blocks.shape[1] * blocks.shape[2] == len(order)
+                for j, idx in enumerate(order):
+                    if idx.s is not None:
+                        where = (idx.s - 1, 0, 0)
+                    else:
+                        p = 0 if idx.left is None else idx.left - 1
+                        q = 0 if idx.right is None else idx.right - 1
+                        where = (p * n_right + q, _tuple_position(n, idx.top),
+                                 _tuple_position(n, idx.bottom))
+                    assert blocks[where] == j + 1.0
+
+
+def test_algebra_blocks_carry_product_and_star(ctx2, ctx3, rng):
+    for ctx in (ctx2, ctx3):
+        for k in range(0, 6):
+            for sh in (sp.PLUS, sp.MINUS):
+                c = sp.SpinColor(k, sh)
+                x = sp.random_element(ctx, c, rng)
+                y = sp.random_element(ctx, c, rng)
+                bx, by = sp.algebra_blocks(x), sp.algebra_blocks(y)
+                assert np.max(np.abs(sp.algebra_blocks(sp.mult(x, y)) - bx @ by)) <= 1e-14
+                star_blocks = np.conj(np.swapaxes(bx, -1, -2))
+                assert np.max(np.abs(sp.algebra_blocks(sp.star(x)) - star_blocks)) <= 1e-14
+
+
 def test_from_coeffs_validates(ctx2):
     good = {sp.SpinIndex(None, (1,), (2,), None): 1.0}
     sp.from_coeffs(ctx2, sp.SpinColor(2, sp.PLUS), good)
