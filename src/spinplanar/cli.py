@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from . import groups, qit, selftest, subfactor
-from .core import coeff_distance, mult, unitarity_residuals
+from .core import coeff_distance, mult
 from .groups import GroupValidationError
 from .qit import QitParseError, QitValidationError
 
@@ -40,35 +40,6 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 DEFAULT_CAP = 50_000
-
-KIND_NAMES = {
-    "hadamard": "Hadamard matrix",
-    "latin": "Latin square",
-    "qls": "quantum Latin square",
-    "biunitary": "biunitary matrix",
-    "ueb": "unitary error basis",
-}
-
-
-def _kind_of(obj) -> str:
-    return {qit.HadamardMatrix: "hadamard", qit.LatinSquare: "latin",
-            qit.QuantumLatinSquare: "qls", qit.BiunitaryMatrix: "biunitary",
-            qit.UnitaryErrorBasis: "ueb"}[type(obj)]
-
-
-def _convert(obj, tol: float):
-    """Object to planar element, plus the rotation step of its certificate."""
-    if isinstance(obj, qit.HadamardMatrix):
-        return qit.from_hadamard(obj, tol), 1
-    if isinstance(obj, qit.LatinSquare):
-        return qit.from_latin(obj, tol), 1
-    if isinstance(obj, qit.QuantumLatinSquare):
-        return qit.from_qls(obj, tol), 1
-    if isinstance(obj, qit.BiunitaryMatrix):
-        return qit.from_biunitary_matrix(obj, tol), 2
-    if isinstance(obj, qit.UnitaryErrorBasis):
-        return qit.from_ueb(obj, tol), None
-    raise TypeError(f"unsupported object {type(obj)!r}")
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str]):
@@ -86,24 +57,19 @@ def _residual_lines(residuals: dict[str, float]) -> list[str]:
 
 def cmd_check(args) -> int:
     obj = qit.load_qit(args.input)
-    kind = _kind_of(obj)
-    name = KIND_NAMES[kind]
     try:
-        u, ell = _convert(obj, args.tol)
+        u = obj.to_element(args.tol)
     except QitValidationError as exc:
-        print(f"kind: {name}", file=sys.stderr)
+        print(f"kind: {obj.name}", file=sys.stderr)
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_FALSE
+    cert = obj.certificate(u, args.tol)
     # a Latin square is certified through its quantum Latin square image
-    cert_name = KIND_NAMES["qls"] if kind == "latin" else name
-    if ell is None:
-        cert = qit.is_ueb_biunitary(u, args.tol)
-        report = f"{cert_name}; {cert.kind} certificate in P_({u.color.width},+)"
-    else:
-        cert = qit.is_biunitary(u, ell, args.tol)
-        report = f"{cert_name}; {cert.kind}-biunitary in P_({u.color.width},+)"
+    name = qit.QuantumLatinSquare.name if obj.kind == "latin" else obj.name
+    form = f"{cert.kind} certificate" if obj.ell is None else f"{cert.kind}-biunitary"
+    report = f"{name}; {form} in P_({u.color.width},+)"
     payload = {
-        "kind": kind, "n": u.ctx.N, "report": report,
+        "kind": obj.kind, "n": u.ctx.N, "report": report,
         "certificate": {"kind": cert.kind, "residuals": cert.residuals,
                         "verdict": cert.verdict, "tol": cert.tol},
     }
@@ -115,7 +81,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    u, _ = _convert(qit.load_qit(args.input), args.tol)
+    u = qit.load_qit(args.input).to_element(args.tol)
     print(json.dumps(qit.element_to_json(u), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -155,15 +121,14 @@ def _dims_lines(tower, zero_minus) -> list[str]:
 
 def cmd_qdims(args) -> int:
     obj = qit.load_qit(args.input)
-    kind = _kind_of(obj)
-    if kind == "ueb":
+    if obj.ell is None:
         print("qdims: unitary error bases are not accepted; no construction of a "
               "subfactor planar algebra from a unitary error basis is known, so the "
               "kernel tower is only defined for the {0,l}-biunitary families "
               "(hadamard, latin, qls, biunitary)", file=sys.stderr)
         return EXIT_INPUT
-    u, ell = _convert(obj, args.tol)
-    cert = qit.is_biunitary(u, ell, args.tol)
+    u, ell = obj.to_element(args.tol), obj.ell
+    cert = obj.certificate(u, args.tol)
     if not cert.verdict:
         print(f"certificate {cert.kind} failed:", file=sys.stderr)
         for line in _residual_lines(cert.residuals):
@@ -177,8 +142,8 @@ def cmd_qdims(args) -> int:
     tower = subfactor.q_tower(stair, args.max_level)
     zero_minus = subfactor.q_zero_minus(stair)
     payload = _dims_payload(tower, zero_minus)
-    payload.update({"kind": kind, "n": u.ctx.N, "k": u.color.width, "ell": ell})
-    lines = [f"kind: {KIND_NAMES[kind]} (n={u.ctx.N}, k={u.color.width}, l={ell})",
+    payload.update({"kind": obj.kind, "n": u.ctx.N, "k": u.color.width, "ell": ell})
+    lines = [f"kind: {obj.name} (n={u.ctx.N}, k={u.color.width}, l={ell})",
              "dimension table:"] + _dims_lines(tower, zero_minus)
     if args.closure:
         report = subfactor.verify_planar_closure(tower, args.tol)

@@ -11,25 +11,44 @@ and a bidirectional correspondence with elements of the spin planar algebra:
     unitary error basis      <->  width-4 plus element whose partial swap and
                                   one-click rotation are both unitary
 
-Index placement is load-bearing and covered by regression tests:
-a^k_{ij} (row i, column j, component k) maps to e^i_k(j], and a^{ij}_{kl}
-maps to e^{ij}_{lk} (bottom tuple (l,k), note the swap).  Certificates carry
-named residuals; a rejection names the violated identity through its
-residual key rather than by prose.
+Each family is one subclass of `QitObject` and states its facts once, as
+class attributes that validation, conversion, JSON interchange and the
+command line all read:
+
+    kind    the JSON `type` of its object files
+    name    its name in reports
+    field   the attribute and JSON field holding its array
+    shape   the array's shape as powers of n, e.g. (2, 1, 1) is n^2 x n x n
+    dtype   complex, or int for the symbols of a Latin square
+    ell     the rotation step l of its {0,l} certificate; None for the
+            swap/rotation certificate of a unitary error basis
+    width   the width k of the plus color (k,+) its element lives in
+    axes    the transpose that lays the array, reshaped to (n,)*width, out
+            in `core`'s basis order (left slot, top, bottom, right slot)
+    scaled  whether coefficients are the array's entries over sqrt(n)
+
+A Latin square is placed as its quantum Latin square image.  Index
+placement is load-bearing and covered by regression tests: a^k_{ij} (row i,
+column j, component k) maps to e^i_k(j], a^{ij}_{kl} maps to e^{ij}_{lk}
+(bottom tuple (l,k), note the swap), and unitary error basis entries
+B(j,l)[i,k] / sqrt(n) map to e^{ij}_{lk}.  Certificates carry named
+residuals; a rejection names the violated identity through its residual key
+rather than by prose.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import numerics
 from .core import (PLUS, SpinColor, SpinContext, SpinElement, SpinIndex,
-                   from_coeffs, shading_from_name, shading_name,
-                   unitarity_residuals)
+                   devectorize, from_coeffs, shading_from_name, shading_name,
+                   unitarity_residuals, vectorize)
 from .ops import partial_swap, rotate, rotate_pow
 
 DEFAULT_TOL = 1e-9
@@ -49,20 +68,81 @@ class QitValidationError(ValueError):
         super().__init__(f"{kind} validation failed: {listing}")
 
 
-@dataclass
-class HadamardMatrix:
-    """n x n complex matrix with unimodular entries and HH* = nI."""
+class QitObject:
+    """An object of one family; the class attributes are described in the
+    module docstring.  n is read off the array's shape."""
 
-    entries: np.ndarray
+    kind: ClassVar[str]
+    name: ClassVar[str]
+    field: ClassVar[str]
+    shape: ClassVar[tuple[int, ...]]
+    dtype: ClassVar[type] = complex
+    ell: ClassVar[int | None]
+    width: ClassVar[int]
+    axes: ClassVar[tuple[int, ...]]
+    scaled: ClassVar[bool]
+    n: int
 
     def __post_init__(self):
-        self.entries = numerics.as_matrix(self.entries)
-        if self.entries.shape[0] != self.entries.shape[1]:
-            raise QitParseError(f"hadamard matrix must be square, got {self.entries.shape}")
+        try:
+            a = np.asarray(getattr(self, self.field), dtype=self.dtype)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise QitParseError(f"{self.name} {self.field}: {exc}") from None
+        n = round(a.shape[-1] ** (1 / self.shape[-1])) if a.ndim == len(self.shape) else 0
+        given = getattr(self, "n", n)  # a biunitary matrix is given n, the others read it
+        if n < 1 or a.shape != tuple(n ** p for p in self.shape) or given != n:
+            pattern = " x ".join("n" if p == 1 else f"n^{p}" for p in self.shape)
+            raise QitParseError(f"{self.name} needs an {pattern} array, got shape {a.shape}"
+                                + (f" for n={given}" if given != n else ""))
+        if not np.all(np.isfinite(a)):
+            raise QitParseError(f"{self.name} has non-finite entries")
+        setattr(self, self.field, a)
+        self.n = n
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
+    @classmethod
+    def of(cls, n: int, array) -> "QitObject":
+        """The object of order n holding array."""
+        return cls(array)
+
+    def defects(self) -> dict[str, float]:
+        raise NotImplementedError
+
+    def validate(self, tol: float = DEFAULT_TOL) -> None:
+        # the Latin square's defects are counts, checked exactly
+        limit = 0.0 if self.dtype is int else tol
+        bad = {k: v for k, v in self.defects().items() if v > limit}
+        if bad:
+            raise QitValidationError(self.kind, bad)
+
+    @classmethod
+    def certificate(cls, u: SpinElement, tol: float = DEFAULT_TOL) -> "BiunitaryCertificate":
+        """The family's biunitarity certificate of an element."""
+        if cls.ell is None:
+            return is_ueb_biunitary(u, tol)
+        return is_biunitary(u, cls.ell, tol)
+
+    def coefficients(self) -> np.ndarray:
+        """The array placed in the element (before axes and scaling)."""
+        return getattr(self, self.field)
+
+    def to_element(self, tol: float = DEFAULT_TOL) -> SpinElement:
+        """The object's element of (width,+), after validating the object."""
+        self.validate(tol)
+        n = self.n
+        v = self.coefficients().reshape((n,) * self.width).transpose(self.axes).flatten()
+        if self.scaled:
+            # componentwise, as Python's complex / float divides
+            v = (v.view(float) / n ** 0.5).view(complex)
+        return devectorize(SpinContext(n), SpinColor(self.width, PLUS), v)
+
+
+@dataclass
+class HadamardMatrix(QitObject):
+    """n x n complex matrix with unimodular entries and HH* = nI."""
+
+    kind, name, field, shape = "hadamard", "Hadamard matrix", "entries", (1, 1)
+    ell, width, axes, scaled = 1, 2, (0, 1), True
+    entries: np.ndarray
 
     def defects(self) -> dict[str, float]:
         h = self.entries
@@ -71,26 +151,14 @@ class HadamardMatrix:
             "unimodularity": float(np.max(np.abs(np.abs(h) - 1.0))),
         }
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        bad = {k: v for k, v in self.defects().items() if v > tol}
-        if bad:
-            raise QitValidationError("hadamard", bad)
-
 
 @dataclass
-class LatinSquare:
+class LatinSquare(QitObject):
     """n x n array over symbols 1..n, each once per row and per column."""
 
+    kind, name, field, shape, dtype = "latin", "Latin square", "rows", (1, 1), int
+    ell, width, axes, scaled = 1, 3, (0, 2, 1), False
     rows: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=int)
-        if self.rows.ndim != 2 or self.rows.shape[0] != self.rows.shape[1]:
-            raise QitParseError(f"latin square must be a square array, got {self.rows.shape}")
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
 
     def defects(self) -> dict[str, float]:
         n = self.n
@@ -104,31 +172,20 @@ class LatinSquare:
             "column-multiplicity": float(bad_cols),
         }
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        bad = {k: v for k, v in self.defects().items() if v > 0}
-        if bad:
-            raise QitValidationError("latin", bad)
+    def coefficients(self) -> np.ndarray:
+        return latin_to_qls(self).vectors
 
 
 @dataclass
-class QuantumLatinSquare:
+class QuantumLatinSquare(QitObject):
     """n x n array of vectors in C^n; every row and column is an orthonormal basis.
 
     vectors[i, j, k] is component k of the vector at row i, column j.
     """
 
+    kind, name, field, shape = "qls", "quantum Latin square", "vectors", (1, 1, 1)
+    ell, width, axes, scaled = 1, 3, (0, 2, 1), False
     vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=complex)
-        if self.vectors.ndim != 3 or len(set(self.vectors.shape)) != 1:
-            raise QitParseError(f"qls needs an n x n x n array, got {self.vectors.shape}")
-        if not np.all(np.isfinite(self.vectors)):
-            raise QitParseError("qls has non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
 
     def defects(self) -> dict[str, float]:
         n = self.n
@@ -142,14 +199,9 @@ class QuantumLatinSquare:
             col = max(col, numerics.operator_norm(ws @ ws.conj().T - eye))
         return {"row-orthonormality": row, "column-orthonormality": col}
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        bad = {k: v for k, v in self.defects().items() if v > tol}
-        if bad:
-            raise QitValidationError("qls", bad)
-
 
 @dataclass
-class BiunitaryMatrix:
+class BiunitaryMatrix(QitObject):
     """n^2 x n^2 matrix, unitary with unitary block transpose.
 
     Entries are indexed by ordered pairs, row (i,j) and column (k,l), with the
@@ -158,15 +210,14 @@ class BiunitaryMatrix:
     v^{ij}_{kl} = u^{kj}_{il}.
     """
 
+    kind, name, field, shape = "biunitary", "biunitary matrix", "entries", (2, 2)
+    ell, width, axes, scaled = 2, 4, (0, 1, 3, 2), False
     n: int
     entries: np.ndarray
 
-    def __post_init__(self):
-        self.entries = numerics.as_matrix(self.entries)
-        if self.entries.shape != (self.n * self.n, self.n * self.n):
-            raise QitParseError(
-                f"biunitary matrix for n={self.n} must be {self.n**2} x {self.n**2}, "
-                f"got {self.entries.shape}")
+    @classmethod
+    def of(cls, n: int, array) -> "BiunitaryMatrix":
+        return cls(n, array)
 
     def defects(self) -> dict[str, float]:
         u = self.entries
@@ -177,31 +228,17 @@ class BiunitaryMatrix:
             "block-transpose-unitarity": numerics.operator_norm(v @ v.conj().T - eye),
         }
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        bad = {k: v for k, v in self.defects().items() if v > tol}
-        if bad:
-            raise QitValidationError("biunitary", bad)
-
 
 @dataclass
-class UnitaryErrorBasis:
-    """n^2 unitary n x n matrices, orthonormal under <A,B> = Tr(B*A)/n."""
+class UnitaryErrorBasis(QitObject):
+    """n^2 unitary n x n matrices, orthonormal under <A,B> = Tr(B*A)/n.
 
+    matrices[j*n + l] is the matrix B(j,l).
+    """
+
+    kind, name, field, shape = "ueb", "unitary error basis", "matrices", (2, 1, 1)
+    ell, width, axes, scaled = None, 4, (2, 0, 1, 3), True
     matrices: np.ndarray
-
-    def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=complex)
-        if self.matrices.ndim != 3:
-            raise QitParseError(f"ueb needs a list of square matrices, got shape {self.matrices.shape}")
-        count, r, c = self.matrices.shape
-        if r != c or count != r * r:
-            raise QitParseError(f"ueb needs n^2 matrices of size n x n, got {count} of {r} x {c}")
-        if not np.all(np.isfinite(self.matrices)):
-            raise QitParseError("ueb has non-finite entries")
-
-    @property
-    def n(self) -> int:
-        return self.matrices.shape[1]
 
     def defects(self) -> dict[str, float]:
         n = self.n
@@ -214,13 +251,10 @@ class UnitaryErrorBasis:
             "pairwise-orthonormality": numerics.operator_norm(gram - np.eye(n * n)),
         }
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        bad = {k: v for k, v in self.defects().items() if v > tol}
-        if bad:
-            raise QitValidationError("ueb", bad)
 
-
-QitObject = HadamardMatrix | LatinSquare | QuantumLatinSquare | BiunitaryMatrix | UnitaryErrorBasis
+FAMILIES: dict[str, type[QitObject]] = {
+    cls.kind: cls for cls in (HadamardMatrix, LatinSquare, QuantumLatinSquare,
+                              BiunitaryMatrix, UnitaryErrorBasis)}
 
 
 def block_transpose(u: np.ndarray, n: int) -> np.ndarray:
@@ -283,135 +317,64 @@ def is_ueb_biunitary(u: SpinElement, tol: float = DEFAULT_TOL) -> BiunitaryCerti
 # converters
 
 
+def _from_element(cls: type[QitObject], u: SpinElement, tol: float) -> QitObject:
+    """The object of family cls whose element is u, after certifying u."""
+    color = SpinColor(cls.width, PLUS)
+    if u.color != color:
+        raise ValueError(f"a {cls.name} is read from an element of {color}, got {u.color}")
+    cert = cls.certificate(u, tol)
+    if not cert.verdict:
+        raise QitValidationError(f"{cls.kind}-element", cert.residuals)
+    n = u.ctx.N
+    a = vectorize(u).reshape((n,) * cls.width).transpose(np.argsort(cls.axes))
+    a = a.reshape([n ** p for p in cls.shape])
+    return cls.of(n, a * n ** 0.5 if cls.scaled else a)
+
+
 def from_hadamard(h: HadamardMatrix, tol: float = DEFAULT_TOL) -> SpinElement:
     """u = sum_ij (h_ij / sqrt(n)) e^i_j in (2,+)."""
-    h.validate(tol)
-    n = h.n
-    ctx = SpinContext(n)
-    rt = n ** 0.5
-    coeffs = {
-        SpinIndex(None, (i + 1,), (j + 1,), None): complex(h.entries[i, j]) / rt
-        for i in range(n) for j in range(n)
-    }
-    return from_coeffs(ctx, SpinColor(2, PLUS), coeffs, validate=False)
+    return h.to_element(tol)
 
 
 def to_hadamard(u: SpinElement, tol: float = DEFAULT_TOL) -> HadamardMatrix:
-    cert = is_biunitary(u, 1, tol)
-    if not cert.verdict:
-        raise QitValidationError("hadamard-element", cert.residuals)
-    n = u.ctx.N
-    rt = n ** 0.5
-    h = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            h[i, j] = u.coefficient(SpinIndex(None, (i + 1,), (j + 1,), None)) * rt
-    return HadamardMatrix(h)
+    return _from_element(HadamardMatrix, u, tol)
 
 
 def latin_to_qls(square: LatinSquare) -> QuantumLatinSquare:
     """Rows of basis vectors: the vector at (i, j) is e_{square[i][j]}."""
     square.validate()
-    n = square.n
-    vectors = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            vectors[i, j, square.rows[i, j] - 1] = 1.0
-    return QuantumLatinSquare(vectors)
+    return QuantumLatinSquare(np.eye(square.n, dtype=complex)[square.rows - 1])
 
 
 def from_qls(q: QuantumLatinSquare, tol: float = DEFAULT_TOL) -> SpinElement:
     """u = sum a^k_{ij} e^i_k(j] in (3,+), a^k_{ij} = vectors[i, j, k]."""
-    q.validate(tol)
-    n = q.n
-    ctx = SpinContext(n)
-    coeffs = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = complex(q.vectors[i, j, k])
-                if c != 0:
-                    coeffs[SpinIndex(None, (i + 1,), (k + 1,), j + 1)] = c
-    return from_coeffs(ctx, SpinColor(3, PLUS), coeffs, validate=False)
+    return q.to_element(tol)
 
 
 def to_qls(u: SpinElement, tol: float = DEFAULT_TOL) -> QuantumLatinSquare:
-    cert = is_biunitary(u, 1, tol)
-    if not cert.verdict:
-        raise QitValidationError("qls-element", cert.residuals)
-    n = u.ctx.N
-    vectors = np.zeros((n, n, n), dtype=complex)
-    for idx, c in u.terms():
-        i, k, j = idx.top[0], idx.bottom[0], idx.right
-        vectors[i - 1, j - 1, k - 1] = c
-    return QuantumLatinSquare(vectors)
+    return _from_element(QuantumLatinSquare, u, tol)
 
 
 def from_latin(square: LatinSquare, tol: float = DEFAULT_TOL) -> SpinElement:
-    return from_qls(latin_to_qls(square), tol)
+    return square.to_element(tol)
 
 
 def from_biunitary_matrix(b: BiunitaryMatrix, tol: float = DEFAULT_TOL) -> SpinElement:
-    """u = sum a^{ij}_{kl} e^{ij}_{lk} in (4,+), a^{ij}_{kl} = entries[(i,j),(k,l)].
-
-    The coefficient of the basis index with top (i,j) and bottom (b1,b2) is
-    the matrix entry at row pair (i,j), column pair (b2,b1).
-    """
-    b.validate(tol)
-    n = b.n
-    ctx = SpinContext(n)
-    coeffs = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    c = complex(b.entries[i * n + j, k * n + l])
-                    if c != 0:
-                        coeffs[SpinIndex(None, (i + 1, j + 1), (l + 1, k + 1), None)] = c
-    return from_coeffs(ctx, SpinColor(4, PLUS), coeffs, validate=False)
+    """u = sum a^{ij}_{kl} e^{ij}_{lk} in (4,+), a^{ij}_{kl} = entries[(i,j),(k,l)]."""
+    return b.to_element(tol)
 
 
 def to_biunitary_matrix(u: SpinElement, tol: float = DEFAULT_TOL) -> BiunitaryMatrix:
-    cert = is_biunitary(u, 2, tol)
-    if not cert.verdict:
-        raise QitValidationError("biunitary-element", cert.residuals)
-    n = u.ctx.N
-    entries = np.zeros((n * n, n * n), dtype=complex)
-    for idx, c in u.terms():
-        (i, j), (l, k) = idx.top, idx.bottom
-        entries[(i - 1) * n + (j - 1), (k - 1) * n + (l - 1)] = c
-    return BiunitaryMatrix(n, entries)
+    return _from_element(BiunitaryMatrix, u, tol)
 
 
 def from_ueb(e: UnitaryErrorBasis, tol: float = DEFAULT_TOL) -> SpinElement:
     """Element with a^{ij}_{kl} = B(j,l)[i,k] / sqrt(n), assembled as e^{ij}_{lk}."""
-    e.validate(tol)
-    n = e.n
-    ctx = SpinContext(n)
-    rt = n ** 0.5
-    coeffs = {}
-    for j in range(n):
-        for l in range(n):
-            b = e.matrices[j * n + l]
-            for i in range(n):
-                for k in range(n):
-                    c = complex(b[i, k]) / rt
-                    if c != 0:
-                        coeffs[SpinIndex(None, (i + 1, j + 1), (l + 1, k + 1), None)] = c
-    return from_coeffs(ctx, SpinColor(4, PLUS), coeffs, validate=False)
+    return e.to_element(tol)
 
 
 def to_ueb(u: SpinElement, tol: float = DEFAULT_TOL) -> UnitaryErrorBasis:
-    cert = is_ueb_biunitary(u, tol)
-    if not cert.verdict:
-        raise QitValidationError("ueb-element", cert.residuals)
-    n = u.ctx.N
-    rt = n ** 0.5
-    matrices = np.zeros((n * n, n, n), dtype=complex)
-    for idx, c in u.terms():
-        (i, j), (l, k) = idx.top, idx.bottom
-        matrices[(j - 1) * n + (l - 1), i - 1, k - 1] = c * rt
-    return UnitaryErrorBasis(matrices)
+    return _from_element(UnitaryErrorBasis, u, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -452,78 +415,61 @@ def _c_to_json(z: complex) -> list[float]:
 
 
 def _c_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
-        return complex(v[0], v[1])
-    raise QitParseError(f"expected a number or [re, im] pair, got {v!r}")
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0.0]
+    if all(type(t) in (int, float) for t in parts):  # bool is not a number here
+        try:
+            z = complex(*parts)
+        except OverflowError:  # an integer beyond the float range
+            z = complex("inf")
+        if cmath.isfinite(z):
+            return z
+    raise QitParseError(f"expected a finite number or [re, im] pair, got {v!r}")
 
 
-def _cmatrix_from_json(rows, what: str) -> np.ndarray:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise QitParseError(f"{what} must be a list of rows")
-    return np.array([[_c_from_json(v) for v in r] for r in rows], dtype=complex)
+def _int_from_json(v) -> int:
+    if type(v) is int:
+        return v
+    raise QitParseError(f"expected an integer, got {v!r}")
+
+
+def _nested(value, dims, leaf, what: str):
+    """value as nested lists of lengths dims with leaves read by leaf."""
+    if not dims:
+        return leaf(value)
+    if not isinstance(value, list) or len(value) != dims[0]:
+        raise QitParseError(what)
+    return [_nested(v, dims[1:], leaf, what) for v in value]
+
+
+def _leaves(f, value):
+    return [_leaves(f, v) for v in value] if isinstance(value, list) else f(value)
 
 
 def qit_to_json(obj: QitObject) -> dict:
-    if isinstance(obj, HadamardMatrix):
-        return {"type": "hadamard", "n": obj.n,
-                "entries": [[_c_to_json(v) for v in row] for row in obj.entries]}
-    if isinstance(obj, LatinSquare):
-        return {"type": "latin", "n": obj.n, "rows": [[int(v) for v in row] for row in obj.rows]}
-    if isinstance(obj, QuantumLatinSquare):
-        return {"type": "qls", "n": obj.n,
-                "vectors": [[[_c_to_json(v) for v in vec] for vec in row] for row in obj.vectors]}
-    if isinstance(obj, BiunitaryMatrix):
-        return {"type": "biunitary", "n": obj.n,
-                "entries": [[_c_to_json(v) for v in row] for row in obj.entries]}
-    if isinstance(obj, UnitaryErrorBasis):
-        return {"type": "ueb", "n": obj.n,
-                "matrices": [[[_c_to_json(v) for v in row] for row in m] for m in obj.matrices]}
-    raise TypeError(f"not a recognized object: {type(obj)!r}")
+    if not isinstance(obj, QitObject):
+        raise TypeError(f"not a recognized object: {type(obj)!r}")
+    leaf = int if obj.dtype is int else _c_to_json
+    return {"type": obj.kind, "n": obj.n,
+            obj.field: _leaves(leaf, getattr(obj, obj.field).tolist())}
 
 
 def qit_from_json(data) -> QitObject:
+    """The object of a parsed object file: n must be a positive integer, the
+    array must nest to its family's shape, and its leaves must be finite
+    numbers or [re, im] pairs (integers for a Latin square)."""
     if not isinstance(data, dict) or "type" not in data:
         raise QitParseError("expected an object with a 'type' field")
     kind = data["type"]
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise QitParseError(f"missing or non-integer 'n' field: {exc}") from None
-    if kind == "hadamard":
-        entries = _cmatrix_from_json(data.get("entries"), "'entries'")
-        if entries.shape != (n, n):
-            raise QitParseError(f"hadamard entries must be {n} x {n}, got {entries.shape}")
-        return HadamardMatrix(entries)
-    if kind == "latin":
-        rows = data.get("rows")
-        if (not isinstance(rows, list) or len(rows) != n
-                or any(not isinstance(r, list) or len(r) != n for r in rows)):
-            raise QitParseError(f"latin rows must be an {n} x {n} integer array")
-        return LatinSquare(np.array(rows, dtype=int))
-    if kind == "qls":
-        vecs = data.get("vectors")
-        if not isinstance(vecs, list) or len(vecs) != n:
-            raise QitParseError(f"qls vectors must be an {n} x {n} x {n} array")
-        arr = np.array([[[_c_from_json(v) for v in vec] for vec in row] for row in vecs])
-        if arr.shape != (n, n, n):
-            raise QitParseError(f"qls vectors must be {n} x {n} x {n}, got {arr.shape}")
-        return QuantumLatinSquare(arr)
-    if kind == "biunitary":
-        entries = _cmatrix_from_json(data.get("entries"), "'entries'")
-        if entries.shape != (n * n, n * n):
-            raise QitParseError(f"biunitary entries must be {n**2} x {n**2}, got {entries.shape}")
-        return BiunitaryMatrix(n, entries)
-    if kind == "ueb":
-        mats = data.get("matrices")
-        if not isinstance(mats, list) or len(mats) != n * n:
-            raise QitParseError(f"ueb needs {n*n} matrices")
-        arr = np.array([[[_c_from_json(v) for v in row] for row in m] for m in mats])
-        if arr.shape != (n * n, n, n):
-            raise QitParseError(f"ueb matrices must each be {n} x {n}")
-        return UnitaryErrorBasis(arr)
-    raise QitParseError(f"unknown object type {kind!r}")
+    cls = FAMILIES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise QitParseError(f"unknown object type {kind!r}")
+    n = data.get("n")
+    if type(n) is not int or n < 1:
+        raise QitParseError(f"'n' must be a positive integer, got {n!r}")
+    dims = [n ** p for p in cls.shape]
+    leaf = _int_from_json if cls.dtype is int else _c_from_json
+    what = f"{kind} '{cls.field}' must be a {' x '.join(map(str, dims))} array"
+    return cls.of(n, _nested(data.get(cls.field), dims, leaf, what))
 
 
 def read_json(path: str):
@@ -537,6 +483,8 @@ def read_json(path: str):
     except json.JSONDecodeError as exc:
         raise QitParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                             f"{exc.msg}") from None
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise QitParseError(f"{path}: {exc}") from None
 
 
 def load_qit(path: str) -> QitObject:

@@ -89,6 +89,31 @@ def test_check_json_format(files, capsys):
         "uu*-1", "u*u-1", "rot(u)rot(u)*-1", "rot(u)*rot(u)-1"}
 
 
+
+@pytest.mark.parametrize("text", [
+    '{"type": "biunitary", "n": 1, "entries": [[1e999]]}',
+    '{"type": "hadamard", "n": 2, "entries": [[1, 1], [1]]}',
+    '{"type": "qls", "n": 2, "vectors": [[[1, 0], [0, 1]], [[0, 1], [1]]]}',
+    '{"type": "latin", "n": 2, "rows": [[1, 2], [2, 1e30]]}',
+    '{"type": "latin", "n": 2, "rows": [[1, 2], [2, 1.7]]}',
+    '{"type": "hadamard", "n": 2, "entries": [[true, 1], [1, -1]]}',
+    '{"type": "latin", "n": 2, "rows": [[true, 2], [2, 1]]}',
+    '{"type": "hadamard", "n": 2.9, "entries": [[1, 1], [1, -1]]}',
+    '{"type": "hadamard", "n": true, "entries": [[1]]}',
+    '{"type": "hadamard", "n": 1, "entries": [[1' + "0" * 400 + ']]}',
+    '{"type": "hadamard", "n": 1, "entries": [[1' + "0" * 5000 + ']]}',
+], ids=["inf-entry", "ragged-entries", "ragged-vectors", "latin-1e30", "latin-fraction",
+        "true-entry", "true-row", "fractional-n", "true-n", "int-beyond-float",
+        "int-beyond-digit-limit"])
+def test_malformed_object_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "input error:" in err
+
+
 # ---------------------------------------------------------------------------
 # convert
 

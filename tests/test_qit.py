@@ -1,5 +1,6 @@
 """Object validation, certificates, converters, and JSON interchange."""
 
+import itertools
 import json
 
 import numpy as np
@@ -119,52 +120,86 @@ def test_ueb_certificate_color_check(ctx2):
 
 
 def test_hadamard_round_trip_and_placement():
-    h = sp.fourier_hadamard(3)
+    # a seeded equivalent D1 P1 F3 P2 D2 of the Fourier matrix: every entry distinct
+    rng = np.random.default_rng(31)
+    n, rt = 3, 3 ** 0.5
+    d1, d2 = (np.exp(2j * np.pi * rng.random(n)) for _ in range(2))
+    f = sp.fourier_hadamard(n).entries[np.ix_(rng.permutation(n), rng.permutation(n))]
+    h = sp.HadamardMatrix(d1[:, None] * f * d2[None, :])
     u = sp.from_hadamard(h)
-    assert u.color == sp.SpinColor(2, sp.PLUS)
-    # coefficient of e^i_j is h[i,j]/sqrt(n)
-    got = u.coefficient(sp.SpinIndex(None, (2,), (3,), None))
-    assert got == pytest.approx(h.entries[1, 2] / np.sqrt(3))
-    h2 = sp.to_hadamard(u)
-    assert np.max(np.abs(h2.entries - h.entries)) < 1e-12
+    back = sp.to_hadamard(u)
+    assert u.color == sp.SpinColor(2, sp.PLUS) and u.nnz == n ** 2
+    # h_ij / sqrt(n) sits at e^i_j
+    for i, j in itertools.product(range(n), repeat=2):
+        c = u.coefficient(sp.SpinIndex(None, (i + 1,), (j + 1,), None))
+        assert c == complex(h.entries[i, j]) / rt
+        assert back.entries[i, j] == c * rt
+    assert np.max(np.abs(back.entries - h.entries)) < 1e-15
 
 
 def test_qls_round_trip_and_placement():
-    q = sp.latin_to_qls(latin5())
+    # latin5 with rows, columns and symbols permuted at random, a random phase per cell
+    rng = np.random.default_rng(32)
+    n = 5
+    symbols = rng.permutation(n) + 1
+    rows = symbols[latin5().rows[np.ix_(rng.permutation(n), rng.permutation(n))] - 1]
+    phases = np.exp(2j * np.pi * rng.random((n, n, 1)))
+    q = sp.QuantumLatinSquare(phases * sp.latin_to_qls(sp.LatinSquare(rows)).vectors)
     u = sp.from_qls(q)
-    assert u.color == sp.SpinColor(3, sp.PLUS)
-    # a^k_{ij} = vectors[i,j,k] sits at e^i_k(j]
-    i, j = 1, 3
-    k = int(np.argmax(np.abs(q.vectors[i, j]))) + 1
-    assert u.coefficient(sp.SpinIndex(None, (i + 1,), (k,), j + 1)) == pytest.approx(1.0)
-    q2 = sp.to_qls(u)
-    assert np.max(np.abs(q2.vectors - q.vectors)) < 1e-12
+    back = sp.to_qls(u)
+    assert u.color == sp.SpinColor(3, sp.PLUS) and u.nnz == n ** 2
+    # a^k_{ij} = vectors[i, j, k] sits at e^i_k(j]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        c = u.coefficient(sp.SpinIndex(None, (i + 1,), (k + 1,), j + 1))
+        assert c == q.vectors[i, j, k]
+        assert back.vectors[i, j, k] == c
 
 
 def test_biunitary_round_trip_and_placement():
-    b = tensor_biunitary(2)
+    n = 3
+    b = tensor_biunitary(n, seed=33)
     u = sp.from_biunitary_matrix(b)
-    assert u.color == sp.SpinColor(4, sp.PLUS)
-    n = 2
-    # entry at row pair (i,j), column pair (k,l) sits at top (i,j), bottom (l,k)
-    got = u.coefficient(sp.SpinIndex(None, (1, 2), (2, 1), None))
-    assert got == pytest.approx(complex(b.entries[0 * n + 1, 0 * n + 1]))
-    b2 = sp.to_biunitary_matrix(u)
-    assert np.max(np.abs(b2.entries - b.entries)) < 1e-12
+    back = sp.to_biunitary_matrix(u)
+    assert u.color == sp.SpinColor(4, sp.PLUS) and u.nnz == n ** 4
+    # a^{ij}_{kl}, the entry at row pair (i,j) and column pair (k,l), sits at
+    # e^{ij}_{lk}: top (i,j), bottom (l,k)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        c = u.coefficient(sp.SpinIndex(None, (i + 1, j + 1), (l + 1, k + 1), None))
+        assert c == b.entries[i * n + j, k * n + l]
+        assert back.entries[i * n + j, k * n + l] == c
 
 
 def test_ueb_round_trip_and_placement():
-    e = sp.ueb_clock_shift(3)
+    # U C^a S^b V for Haar unitaries U, V, a random phase per matrix
+    rng = np.random.default_rng(34)
+    n, rt = 3, 3 ** 0.5
+    phases = np.exp(2j * np.pi * rng.random((n * n, 1, 1)))
+    e = sp.UnitaryErrorBasis(phases * (haar_unitary(n, 34) @ sp.ueb_clock_shift(n).matrices
+                                       @ haar_unitary(n, 35)))
+    e.validate()
     u = sp.from_ueb(e)
-    assert u.color == sp.SpinColor(4, sp.PLUS)
-    n = 3
-    # a^{ij}_{kl} = B(j,l)[i,k]/sqrt(n) at top (i,j), bottom (l,k)
-    j, l = 2, 3
-    mat = e.matrices[(j - 1) * n + (l - 1)]
-    got = u.coefficient(sp.SpinIndex(None, (1, j), (l, 2), None))
-    assert got == pytest.approx(mat[0, 1] / np.sqrt(n))
-    e2 = sp.to_ueb(u)
-    assert np.max(np.abs(e2.matrices - e.matrices)) < 1e-12
+    back = sp.to_ueb(u)
+    assert u.color == sp.SpinColor(4, sp.PLUS) and u.nnz == n ** 4
+    # a^{ij}_{kl} = B(j,l)[i,k] / sqrt(n), B(j,l) = matrices[j*n + l], sits at e^{ij}_{lk}
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        c = u.coefficient(sp.SpinIndex(None, (i + 1, j + 1), (l + 1, k + 1), None))
+        assert c == complex(e.matrices[j * n + l][i, k]) / rt
+        assert back.matrices[j * n + l][i, k] == c * rt
+    assert np.max(np.abs(back.matrices - e.matrices)) < 1e-15
+
+
+def test_element_to_object_checks_the_color():
+    # the Z3 table's element is {0,1}-biunitary in (3,+), not a Hadamard element
+    z3 = sp.from_latin(sp.LatinSquare(np.array(sp.cyclic_table(3))))
+    f2 = sp.from_hadamard(sp.fourier_hadamard(2))
+    with pytest.raises(ValueError, match=r"of \(2,\+\), got \(3,\+\)"):
+        sp.to_hadamard(z3)
+    with pytest.raises(ValueError, match=r"of \(3,\+\), got \(2,\+\)"):
+        sp.to_qls(f2)
+    with pytest.raises(ValueError, match=r"of \(4,\+\), got \(3,\+\)"):
+        sp.to_biunitary_matrix(z3)
+    with pytest.raises(ValueError, match=r"\(4,\+\), got \(3,\+\)"):
+        sp.to_ueb(z3)
 
 
 def test_block_transpose():
