@@ -284,14 +284,18 @@ def main(argv=None) -> int:
     if getattr(args, "needs_input", False) and not args.input:
         print(f"{args.command}: --input is required", file=sys.stderr)
         return EXIT_INPUT
-    if args.command == "group" and not (args.name or args.input):
-        print("group: pass --name (builtin) or --input (table file)", file=sys.stderr)
+    if args.command == "group" and bool(args.name) == bool(args.input):
+        print("group: pass one of --name (builtin) and --input (table file)", file=sys.stderr)
         return EXIT_INPUT
-    if args.tol <= 0:
-        print("--tol must be positive", file=sys.stderr)
+    if not 0.0 < args.tol < float("inf"):  # also refuses nan
+        print("--tol must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "max_level", 0) < 0:
         print("--max-level must be nonnegative", file=sys.stderr)
+        return EXIT_INPUT
+    if getattr(args, "closure", False) and args.max_level < 1:
+        print("--closure compares consecutive levels; it needs --max-level 1 or more",
+              file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "cap", 1) < 1:
         print("--cap must be positive", file=sys.stderr)

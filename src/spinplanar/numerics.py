@@ -4,9 +4,12 @@ Thin wrappers around numpy/scipy: singular values, deterministic kernel
 extraction with a relative singular-value threshold, and operator-norm
 defects.  Everything is double precision; inputs are validated to be finite.
 Singular value decompositions use one fixed LAPACK driver ('gesvd') so that
-reported dimensions are reproducible; for a kernel of a tall matrix it runs
-on the triangular factor R of a Householder QR ('geqrf'), which has the same
-singular values and right singular vectors.
+reported dimensions are reproducible.  A kernel is computed from the rows of
+the matrix that are not exactly zero, copied once in Fortran order; when they
+are more than the columns, gesvd runs on the triangular factor R of a
+Householder QR ('geqrf') of that copy, factored in place.  Zero rows and the
+QR leave a^H a unchanged, so the singular values (up to zeros) and the right
+singular vectors are those of the matrix as given.
 """
 
 from __future__ import annotations
@@ -59,11 +62,13 @@ class KernelResult:
     """Kernel of a matrix by rank-revealing SVD.
 
     basis: columns form an l2-orthonormal basis of the kernel.
-    sigma: the min(rows, cols) singular values, nonincreasing.
+    sigma: the min(rows, cols) singular values, nonincreasing; those past
+    the number of nonzero rows are exactly zero.
     gap: smallest kept (rank-part) singular value divided by the largest
     discarded (kernel-part) one, floored at eps * max(rows, cols) * sigma[0]
-    (numpy's matrix_rank tolerance).  Below that floor a singular value is
-    roundoff, and a ratio over roundoff would be noise.  inf when either
+    (numpy's matrix_rank tolerance), with rows and cols the shape of the
+    matrix as given, zero rows included.  Below that floor a singular value
+    is roundoff, and a ratio over roundoff would be noise.  inf when either
     side is empty.
     """
 
@@ -74,40 +79,65 @@ class KernelResult:
     gap: float
 
 
+def _nonzero_rows(m: np.ndarray) -> np.ndarray:
+    """The rows of m that are not exactly zero, as a Fortran-ordered copy.
+
+    A Fortran-ordered m, as the membership operator is, is gathered once,
+    straight into the transpose of a C-ordered buffer: np.take with mode
+    "clip" writes to it unbuffered, and LAPACK then works on it without a
+    further copy.  Any other layout goes through a C-ordered copy first.
+    """
+    idx = np.flatnonzero(m.any(axis=1))
+    if not m.flags.f_contiguous:
+        return np.asfortranarray(m[idx])
+    buf = np.empty((m.shape[1], len(idx)), dtype=m.dtype)
+    return np.take(m.T, idx, axis=1, out=buf, mode="clip").T
+
+
 def _triangular_factor(m: np.ndarray) -> np.ndarray:
     """The cols x cols factor R of a Householder QR of a tall m (LAPACK geqrf).
 
-    The LAPACK result holds R above the diagonal and the reflectors below it,
-    a rows x cols array; only R is copied out, so that array and Q are dropped.
+    m is overwritten: the LAPACK result holds R above the diagonal and the
+    reflectors below it, in m's own storage when m is Fortran-ordered.  Only R
+    is copied out, in Fortran order, so Q is never formed.
     """
     geqrf, geqrf_lwork = scipy.linalg.get_lapack_funcs(("geqrf", "geqrf_lwork"), (m,))
     work, _ = geqrf_lwork(*m.shape)
-    qr, _, _, info = geqrf(m, lwork=int(work.real))  # default lwork is unblocked
+    qr, _, _, info = geqrf(m, lwork=int(work.real), overwrite_a=True)  # default lwork is unblocked
     if info != 0:
         raise np.linalg.LinAlgError(f"geqrf failed with info={info}")
-    return np.triu(qr[:m.shape[1]])
+    r = np.array(qr[:m.shape[1]], order="F")
+    r[np.tri(len(r), k=-1, dtype=bool)] = 0.0  # drop the reflectors below the diagonal
+    return r
 
 
 def kernel_basis(a, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> KernelResult:
     """Kernel by SVD: directions with singular value <= max(rel_tol*s[0], abs_tol).
 
-    A tall matrix is first reduced to the triangular factor R of its QR
-    factorization, which has the same singular values and right singular
-    vectors; its left singular vectors are never formed.  The absolute cutoff
-    matters when the whole matrix is numerically zero (s[0] at roundoff
-    scale), where a purely relative threshold would keep noise as rank.
+    Only the rows that are not exactly zero are factored, from one private
+    copy; the input is never written.  When they are more than the columns,
+    the copy is reduced in place to the triangular factor R of its QR
+    factorization and released, and gesvd runs on R, so the left singular
+    vectors are never formed.  The gap floor uses the shape of the input as
+    given.  The absolute cutoff matters when the whole matrix is numerically
+    zero (s[0] at roundoff scale), where a purely relative threshold would
+    keep noise as rank.
     """
     m = as_matrix(a)
     rows, cols = m.shape
     if cols == 0:
         return KernelResult(np.zeros((0, 0), dtype=complex), 0, np.zeros(0), 0.0, float("inf"))
-    if rows == 0 or not m.any():
+    m = _nonzero_rows(m)
+    if len(m) == 0:
         return KernelResult(np.eye(cols, dtype=complex), cols, np.zeros(min(rows, cols)),
                             0.0, float("inf"))
-    if rows > cols:
-        m = _triangular_factor(m)
-    # rows < cols: full_matrices for the trailing right-singular vectors
-    _, s, vh = scipy.linalg.svd(m, full_matrices=rows < cols, lapack_driver="gesvd")
+    if len(m) > cols:
+        m = _triangular_factor(m)  # the copy of the rows is released here
+    # fewer rows than columns: full_matrices for the trailing right-singular vectors
+    _, s, vh = scipy.linalg.svd(m, full_matrices=len(m) < cols, overwrite_a=True,
+                                check_finite=False, lapack_driver="gesvd")
+    # the zero rows add zero singular values, which belong to the kernel
+    s = np.concatenate([s, np.zeros(min(rows, cols) - len(s))])
     threshold = max(rel_tol * s[0], abs_tol)
     small = s <= threshold
     in_kernel = np.ones(vh.shape[0], dtype=bool)

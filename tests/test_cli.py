@@ -26,6 +26,7 @@ def files(tmp_path_factory):
         "ab": dump("ab.json", tensor_biunitary(2)),
         "ueb2": dump("ueb2.json", sp.ueb_clock_shift(2)),
         "allones": dump("allones.json", sp.HadamardMatrix(np.ones((3, 3)))),
+        "not_hadamard": dump("not_hadamard.json", sp.HadamardMatrix(np.array([[1, 1], [1, 2]]))),
     }
     z3 = root / "z3.json"
     z3.write_text(json.dumps({"rows": sp.cyclic_table(3)}))
@@ -235,6 +236,13 @@ def test_group_needs_name_or_input(capsys):
     assert "--name" in err
 
 
+def test_group_name_and_input_are_exclusive(files, capsys):
+    code, out, err = run(capsys, "group", "--name", "S3", "--input", files["badgroup"])
+    assert code == 2
+    assert "--name" in err and "--input" in err
+    assert "verdict" not in out
+
+
 # ---------------------------------------------------------------------------
 # selftest and argument handling
 
@@ -283,6 +291,24 @@ def test_bad_tolerance(files, capsys):
     code, _, err = run(capsys, "check", "--input", files["fourier2"], "--tol", "0")
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["check", "qdims"])
+def test_nonfinite_tolerance(files, capsys, command, tol):
+    # [[1, 1], [1, 2]] is no Hadamard matrix; an infinite tolerance passed it
+    code, out, err = run(capsys, command, "--input", files["not_hadamard"], "--tol", tol)
+    assert code == 2
+    assert "--tol must be positive and finite" in err
+    assert out == ""
+
+
+def test_closure_needs_two_levels(files, capsys):
+    code, out, err = run(capsys, "qdims", "--input", files["fourier2"],
+                         "--max-level", "0", "--closure")
+    assert code == 2
+    assert "--max-level" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_bad_max_level(files, capsys):

@@ -144,6 +144,56 @@ def test_tall_kernel_never_forms_left_vectors():
     assert peak <= 1.25 * a.nbytes
 
 
+def with_zero_rows(a, zero_rows, seed=2):
+    """a with exact zero rows put in among its own at seeded places, Fortran-ordered."""
+    rows = a.shape[0] + zero_rows
+    places = np.sort(np.random.default_rng(seed).choice(rows, a.shape[0], replace=False))
+    out = np.zeros((rows, a.shape[1]), dtype=complex, order="F")
+    out[places] = a
+    return out
+
+
+def test_zero_rows_are_never_copied():
+    # only the nonzero rows are copied, once; at the parent's full copy the peak was 6.2x
+    b = planted_kernel(1000, 120, 100, seed=3)
+    a = np.zeros((6000, 120), dtype=complex, order="F")
+    a[::6] = b
+    tracemalloc.start()
+    try:
+        res = numerics.kernel_basis(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.dim == 20
+    assert peak <= 1.25 * b.nbytes
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_tall_input_with_few_nonzero_rows(order):
+    # 25 nonzero rows of 40 columns: the factored copy is wide, the input tall
+    a = np.asarray(with_zero_rows(planted_kernel(25, 40, 25, seed=6), 275), order=order)
+    res = numerics.kernel_basis(a, 1e-8, abs_tol=1e-8)
+    _, s, vh = np.linalg.svd(a)
+    want = vh[s <= max(1e-8 * s[0], 1e-8)].conj().T
+    assert res.dim == want.shape[1] == 15
+    assert len(res.sigma) == 40 and not res.sigma[25:].any()
+    assert np.max(np.abs(res.sigma - s)) <= 1e-12 * s[0]
+    projector = res.basis @ res.basis.conj().T
+    assert np.linalg.norm(projector - want @ want.conj().T, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(TALL_CASES))
+def test_zero_rows_change_nothing(case):
+    # zero rows leave a^H a, so the spectrum and the kernel, as they are
+    a = TALL_CASES[case]()
+    plain = numerics.kernel_basis(a, 1e-8, abs_tol=1e-8)
+    padded = numerics.kernel_basis(with_zero_rows(a, 2 * a.shape[0]), 1e-8, abs_tol=1e-8)
+    assert padded.dim == plain.dim
+    assert np.max(np.abs(padded.sigma - plain.sigma)) <= 1e-12 * plain.sigma[0]
+    difference = padded.basis @ padded.basis.conj().T - plain.basis @ plain.basis.conj().T
+    assert np.linalg.norm(difference, 2) <= 1e-10
+
+
 def test_gap_invariant_under_left_unitaries():
     # kernel and spectrum are invariant under a -> w a for unitary w; the gap
     # must not depend on which roundoff value the kernel directions pick up
