@@ -82,14 +82,11 @@ class KernelResult:
 def _nonzero_rows(m: np.ndarray) -> np.ndarray:
     """The rows of m that are not exactly zero, as a Fortran-ordered copy.
 
-    A Fortran-ordered m, as the membership operator is, is gathered once,
-    straight into the transpose of a C-ordered buffer: np.take with mode
-    "clip" writes to it unbuffered, and LAPACK then works on it without a
-    further copy.  Any other layout goes through a C-ordered copy first.
+    The rows are gathered once, straight into the transpose of a C-ordered
+    buffer: np.take with mode "clip" writes to it unbuffered, and LAPACK then
+    works on it without a further copy.
     """
     idx = np.flatnonzero(m.any(axis=1))
-    if not m.flags.f_contiguous:
-        return np.asfortranarray(m[idx])
     buf = np.empty((m.shape[1], len(idx)), dtype=m.dtype)
     return np.take(m.T, idx, axis=1, out=buf, mode="clip").T
 
@@ -135,7 +132,7 @@ def kernel_basis(a, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> K
         m = _triangular_factor(m)  # the copy of the rows is released here
     # fewer rows than columns: full_matrices for the trailing right-singular vectors
     _, s, vh = scipy.linalg.svd(m, full_matrices=len(m) < cols, overwrite_a=True,
-                                check_finite=False, lapack_driver="gesvd")
+                                lapack_driver="gesvd")
     # the zero rows add zero singular values, which belong to the kernel
     s = np.concatenate([s, np.zeros(min(rows, cols) - len(s))])
     threshold = max(rel_tol * s[0], abs_tol)

@@ -182,6 +182,12 @@ def test_tall_input_with_few_nonzero_rows(order):
     assert np.linalg.norm(projector - want @ want.conj().T, 2) <= 1e-10
 
 
+def test_overflowing_factor_is_refused():
+    # finite entries whose column norms overflow give an infinite R, which gesvd must not take
+    with pytest.raises(ValueError):
+        numerics.kernel_basis(np.full((3, 2), 1e308))
+
+
 @pytest.mark.parametrize("case", sorted(TALL_CASES))
 def test_zero_rows_change_nothing(case):
     # zero rows leave a^H a, so the spectrum and the kernel, as they are
