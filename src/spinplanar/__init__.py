@@ -21,10 +21,9 @@ from .qit import (BiunitaryCertificate, HadamardMatrix, LatinSquare,
                   from_ueb, is_biunitary, is_ueb_biunitary, latin_to_qls,
                   load_qit, qit_from_json, qit_to_json, to_biunitary_matrix,
                   to_hadamard, to_qls, to_ueb, ueb_clock_shift)
-from .groups import (GroupValidationError, builtin_group, builtin_group_names,
-                     cyclic_table, group_element, orbit_representatives,
-                     orbit_sum, predicted_group_dims, s3_table, validate_group,
-                     x_element)
+from .groups import (GroupValidationError, builtin_group, cyclic_table,
+                     group_element, orbit_representatives, orbit_sum,
+                     predicted_group_dims, s3_table, validate_group, x_element)
 from .subfactor import (CablingData, ClosureReport, GroupOracle,
                         MembershipOperator, QLevelResult, Staircase,
                         build_staircase, extract_partner_y, group_oracle,

@@ -14,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from . import qit
 from .core import (PLUS, SpinColor, SpinContext, SpinElement, SpinIndex,
                    from_coeffs)
 
@@ -88,10 +89,6 @@ def s3_table() -> list[list[int]]:
     return table
 
 
-def builtin_group_names() -> tuple[str, ...]:
-    return BUILTIN_GROUPS
-
-
 def builtin_group(name: str) -> list[list[int]]:
     key = name.strip().upper()
     if key.startswith("Z") and key[1:].isdigit():
@@ -105,16 +102,13 @@ def builtin_group(name: str) -> list[list[int]]:
 
 
 def group_element(ctx: SpinContext, table) -> SpinElement:
-    """The biunitary u = sum_{h,k} e^{k*h}_k(h] of a group table at (3,+)."""
+    """The biunitary u = sum_{h,k} e^{k*h}_k(h] at (3,+) of a group table, placed
+    as its Latin square: product k*h on top, row k below, column h right."""
     validate_group(table)
     n = len(table)
     if ctx.N != n:
         raise ValueError(f"context has N={ctx.N} but the table has {n} elements")
-    coeffs = {}
-    for k in range(1, n + 1):
-        for h in range(1, n + 1):
-            coeffs[SpinIndex(None, (table[k - 1][h - 1],), (k,), h)] = 1.0 + 0j
-    return from_coeffs(ctx, SpinColor(3, PLUS), coeffs, validate=False)
+    return qit.from_latin(qit.LatinSquare(np.array(table)))
 
 
 def x_element(ctx: SpinContext, table, g: int) -> SpinElement:

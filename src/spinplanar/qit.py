@@ -27,11 +27,12 @@ command line all read:
             in `core`'s basis order (left slot, top, bottom, right slot)
     scaled  whether coefficients are the array's entries over sqrt(n)
 
-A Latin square is placed as its quantum Latin square image.  Index
-placement is load-bearing and covered by regression tests: a^k_{ij} (row i,
-column j, component k) maps to e^i_k(j], a^{ij}_{kl} maps to e^{ij}_{lk}
-(bottom tuple (l,k), note the swap), and unitary error basis entries
-B(j,l)[i,k] / sqrt(n) map to e^{ij}_{lk}.  Certificates carry named
+A Latin square, and so a group table, is placed as its quantum Latin square
+image.  Index placement is load-bearing and covered by regression tests:
+a^k_{ij} (row i, column j, component k) maps to e^k_i(j] (component on top,
+row on the bottom, column in the right slot), a^{ij}_{kl} maps to
+e^{ij}_{lk} (bottom tuple (l,k), note the swap), and unitary error basis
+entries B(j,l)[i,k] / sqrt(n) map to e^{ij}_{lk}.  Certificates carry named
 residuals; a rejection names the violated identity through its residual key
 rather than by prose.
 """
@@ -153,11 +154,36 @@ class HadamardMatrix(QitObject):
 
 
 @dataclass
+class QuantumLatinSquare(QitObject):
+    """n x n array of vectors in C^n; every row and column is an orthonormal basis.
+
+    vectors[i, j, k] is component k of the vector at row i, column j.
+    """
+
+    kind, name, field, shape = "qls", "quantum Latin square", "vectors", (1, 1, 1)
+    ell, width, axes, scaled = 1, 3, (2, 0, 1), False
+    vectors: np.ndarray
+
+    def defects(self) -> dict[str, float]:
+        n = self.n
+        eye = np.eye(n)
+        row = 0.0
+        col = 0.0
+        for i in range(n):
+            vs = self.vectors[i, :, :]  # row i: vectors indexed by column j
+            row = max(row, numerics.operator_norm(vs @ vs.conj().T - eye))
+            ws = self.vectors[:, i, :]  # column i: vectors indexed by row
+            col = max(col, numerics.operator_norm(ws @ ws.conj().T - eye))
+        return {"row-orthonormality": row, "column-orthonormality": col}
+
+
+@dataclass
 class LatinSquare(QitObject):
     """n x n array over symbols 1..n, each once per row and per column."""
 
     kind, name, field, shape, dtype = "latin", "Latin square", "rows", (1, 1), int
-    ell, width, axes, scaled = 1, 3, (0, 2, 1), False
+    ell, width, axes, scaled = (QuantumLatinSquare.ell, QuantumLatinSquare.width,
+                                QuantumLatinSquare.axes, QuantumLatinSquare.scaled)
     rows: np.ndarray
 
     def defects(self) -> dict[str, float]:
@@ -173,31 +199,7 @@ class LatinSquare(QitObject):
         }
 
     def coefficients(self) -> np.ndarray:
-        return latin_to_qls(self).vectors
-
-
-@dataclass
-class QuantumLatinSquare(QitObject):
-    """n x n array of vectors in C^n; every row and column is an orthonormal basis.
-
-    vectors[i, j, k] is component k of the vector at row i, column j.
-    """
-
-    kind, name, field, shape = "qls", "quantum Latin square", "vectors", (1, 1, 1)
-    ell, width, axes, scaled = 1, 3, (0, 2, 1), False
-    vectors: np.ndarray
-
-    def defects(self) -> dict[str, float]:
-        n = self.n
-        eye = np.eye(n)
-        row = 0.0
-        col = 0.0
-        for i in range(n):
-            vs = self.vectors[i, :, :]  # row i: vectors indexed by column j
-            row = max(row, numerics.operator_norm(vs @ vs.conj().T - eye))
-            ws = self.vectors[:, i, :]  # column i: vectors indexed by row
-            col = max(col, numerics.operator_norm(ws @ ws.conj().T - eye))
-        return {"row-orthonormality": row, "column-orthonormality": col}
+        return np.eye(self.n, dtype=complex)[self.rows - 1]
 
 
 @dataclass
@@ -343,11 +345,12 @@ def to_hadamard(u: SpinElement, tol: float = DEFAULT_TOL) -> HadamardMatrix:
 def latin_to_qls(square: LatinSquare) -> QuantumLatinSquare:
     """Rows of basis vectors: the vector at (i, j) is e_{square[i][j]}."""
     square.validate()
-    return QuantumLatinSquare(np.eye(square.n, dtype=complex)[square.rows - 1])
+    return QuantumLatinSquare(square.coefficients())
 
 
 def from_qls(q: QuantumLatinSquare, tol: float = DEFAULT_TOL) -> SpinElement:
-    """u = sum a^k_{ij} e^i_k(j] in (3,+), a^k_{ij} = vectors[i, j, k]."""
+    """u = sum a^k_{ij} e^k_i(j] in (3,+), a^k_{ij} = vectors[i, j, k]: the
+    component on top, the row on the bottom, the column in the right slot."""
     return q.to_element(tol)
 
 

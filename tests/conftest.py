@@ -44,6 +44,17 @@ def haar_unitary(n: int, seed: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def haar_qls(square: sp.LatinSquare, seed: int) -> sp.QuantumLatinSquare:
+    """A dense quantum Latin square: the square's basis vectors all turned
+    by one Haar-random unitary."""
+    return sp.QuantumLatinSquare(sp.latin_to_qls(square).vectors
+                                 @ haar_unitary(square.n, seed).T)
+
+
+def z3_latin() -> sp.LatinSquare:
+    return sp.LatinSquare(np.array(sp.cyclic_table(3)))
+
+
 def tensor_biunitary(n: int, seed: int = 11) -> sp.BiunitaryMatrix:
     """A (x) B for Haar-random unitaries A, B: always biunitary."""
     return sp.BiunitaryMatrix(n, np.kron(haar_unitary(n, seed),

@@ -7,7 +7,7 @@ import pytest
 
 import spinplanar as sp
 from spinplanar import cli
-from conftest import latin5, tensor_biunitary
+from conftest import haar_qls, latin5, tensor_biunitary, z3_latin
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,8 @@ def files(tmp_path_factory):
         "fourier2": dump("fourier2.json", sp.fourier_hadamard(2)),
         "latin5": dump("latin5.json", latin5()),
         "qls5": dump("qls5.json", sp.latin_to_qls(latin5())),
+        "dense_qls3": dump("dense_qls3.json", haar_qls(z3_latin(), 46)),
+        "dense_qls5": dump("dense_qls5.json", haar_qls(latin5(), 47)),
         "ab": dump("ab.json", tensor_biunitary(2)),
         "ueb2": dump("ueb2.json", sp.ueb_clock_shift(2)),
         "allones": dump("allones.json", sp.HadamardMatrix(np.ones((3, 3)))),
@@ -61,6 +63,14 @@ def test_check_latin_reports_qls(files, capsys):
     code, out, _ = run(capsys, "check", "--input", files["latin5"])
     assert code == 0
     assert "report: quantum Latin square; {0,1}-biunitary in P_(3,+)" in out
+
+
+@pytest.mark.parametrize("name", ["dense_qls3", "dense_qls5"])
+def test_check_dense_qls(files, capsys, name):
+    # a Latin square's vectors turned by a Haar unitary pass the {0,1} certificate
+    code, out, _ = run(capsys, "check", "--input", files[name])
+    assert code == 0
+    assert "verdict: PASS" in out
 
 
 def test_check_biunitary_matrix(files, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import spinplanar as sp
+from spinplanar.groups import BUILTIN_GROUPS
 
 
 def test_builtin_tables_are_valid_groups():
-    for name in sp.builtin_group_names():
+    for name in BUILTIN_GROUPS:
         table = sp.builtin_group(name)
         e = sp.validate_group(table)
         n = len(table)

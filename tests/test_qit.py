@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import spinplanar as sp
-from conftest import latin5, tensor_biunitary, haar_unitary
+from spinplanar.qit import FAMILIES
+from conftest import haar_qls, haar_unitary, latin5, tensor_biunitary, z3_latin
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +149,22 @@ def test_qls_round_trip_and_placement():
     u = sp.from_qls(q)
     back = sp.to_qls(u)
     assert u.color == sp.SpinColor(3, sp.PLUS) and u.nnz == n ** 2
-    # a^k_{ij} = vectors[i, j, k] sits at e^i_k(j]
+    # a^k_{ij} = vectors[i, j, k] sits at e^k_i(j]: component on top, row on
+    # the bottom, column in the right slot
     for i, j, k in itertools.product(range(n), repeat=3):
-        c = u.coefficient(sp.SpinIndex(None, (i + 1,), (k + 1,), j + 1))
+        c = u.coefficient(sp.SpinIndex(None, (k + 1,), (i + 1,), j + 1))
         assert c == q.vectors[i, j, k]
         assert back.vectors[i, j, k] == c
+
+
+@pytest.mark.parametrize("make, seed", [(z3_latin, 36), (latin5, 37)], ids=["Z3", "latin5"])
+def test_dense_qls_certificate_and_round_trip(make, seed):
+    # every vector of the square turned by one Haar unitary: a dense QLS
+    q = haar_qls(make(), seed)
+    u = sp.from_qls(q)
+    cert = sp.is_biunitary(u, 1)
+    assert cert.verdict and cert.max_residual() <= 1e-14
+    assert np.max(np.abs(sp.to_qls(u).vectors - q.vectors)) <= 1e-15
 
 
 def test_biunitary_round_trip_and_placement():
@@ -188,6 +200,41 @@ def test_ueb_round_trip_and_placement():
     assert np.max(np.abs(back.matrices - e.matrices)) < 1e-15
 
 
+def _hadamard_equivalent(n: int, seed: int) -> sp.HadamardMatrix:
+    """D1 P1 F_n P2 D2 with seeded phases and permutations."""
+    rng = np.random.default_rng(seed)
+    d1, d2 = (np.exp(2j * np.pi * rng.random(n)) for _ in range(2))
+    f = sp.fourier_hadamard(n).entries[np.ix_(rng.permutation(n), rng.permutation(n))]
+    return sp.HadamardMatrix(d1[:, None] * f * d2[None, :])
+
+
+# one instance per family, with no permutation structure outside the integer
+# family, and the reader of its element (a Latin square reads back as its QLS)
+GENERIC_INSTANCES = {
+    "hadamard": (lambda: _hadamard_equivalent(4, 38), sp.to_hadamard),
+    "latin": (latin5, sp.to_qls),
+    "qls": (lambda: haar_qls(latin5(), 39), sp.to_qls),
+    "biunitary": (lambda: tensor_biunitary(3, seed=40), sp.to_biunitary_matrix),
+    "ueb": (lambda: sp.UnitaryErrorBasis(haar_unitary(3, 42) @ sp.ueb_clock_shift(3).matrices
+                                         @ haar_unitary(3, 43)), sp.to_ueb),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_every_family_places_a_generic_instance(kind):
+    assert kind in GENERIC_INSTANCES, f"no generic instance of the {kind} family"
+    make, read = GENERIC_INSTANCES[kind]
+    obj = make()
+    assert type(obj) is FAMILIES[kind]
+    a = obj.coefficients()
+    assert obj.dtype is int or not np.all(np.isin(a, (0, 1)))
+    u = obj.to_element()
+    cert = obj.certificate(u)
+    assert cert.verdict, cert.residuals
+    # exact, up to the rounding of the sqrt(n) scale where the family has one
+    assert np.max(np.abs(read(u).coefficients() - a)) <= (1e-15 if obj.scaled else 0.0)
+
+
 def test_element_to_object_checks_the_color():
     # the Z3 table's element is {0,1}-biunitary in (3,+), not a Hadamard element
     z3 = sp.from_latin(sp.LatinSquare(np.array(sp.cyclic_table(3))))
@@ -220,11 +267,11 @@ def test_converters_reject_invalid_objects():
 
 
 def test_group_table_to_latin_to_element(ctx3):
-    # a cyclic table is a Latin square; its element is the group element's star
+    # a cyclic table is a Latin square; its element is the group element
     rows = np.array(sp.cyclic_table(3))
     u_latin = sp.from_latin(sp.LatinSquare(rows))
     u_group = sp.group_element(ctx3, sp.cyclic_table(3))
-    assert sp.coeff_distance(u_latin, sp.star(u_group)) == 0.0
+    assert sp.coeff_distance(u_latin, u_group) == 0.0
 
 
 # ---------------------------------------------------------------------------

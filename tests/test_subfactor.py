@@ -5,7 +5,7 @@ import pytest
 
 import spinplanar as sp
 from spinplanar.subfactor import CablingData
-from conftest import latin5, tensor_biunitary
+from conftest import haar_qls, latin5, tensor_biunitary, z3_latin
 
 
 def fourier_staircase(n=2, levels=3):
@@ -239,6 +239,35 @@ def test_latin_square_level_one_dim():
     u = sp.from_latin(latin5())
     stair = sp.build_staircase(u, 1, 1)
     assert sp.q_level(stair, 1).dim == 1
+
+
+def tower_dims(u, levels=3):
+    return [r.dim for r in sp.q_tower(sp.build_staircase(u, 1, levels), levels)]
+
+
+@pytest.mark.parametrize("make, seed, dims", [(z3_latin, 44, [1, 1, 3, 9]),
+                                              (latin5, 45, [1, 1, 2, 5])], ids=["Z3", "latin5"])
+def test_dense_qls_has_the_tower_of_its_latin_square(make, seed, dims):
+    # turning every vector by one unitary leaves the tower as it is
+    square = make()
+    assert tower_dims(sp.from_qls(haar_qls(square, seed))) == dims
+    assert tower_dims(sp.from_latin(square)) == dims
+
+
+def f4q(q):
+    """The one-parameter family F4(q) of 4 x 4 complex Hadamard matrices."""
+    return np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, q, -1, -q], [1, -q, -1, q]])
+
+
+@pytest.mark.parametrize("h, dims", [(sp.fourier_hadamard(3).entries, [1, 1, 3, 9]),
+                                     (f4q(np.exp(0.7j)), [1, 1, 3, 10])],
+                         ids=["F3", "F4(exp(0.7i))"])
+def test_qls_of_row_quotients_has_the_tower_of_its_hadamard(h, dims):
+    # xi_ij = H_i / H_j / sqrt(n), the rows of H divided entrywise
+    n = h.shape[0]
+    q = sp.QuantumLatinSquare(h[:, None, :] / h[None, :, :] / np.sqrt(n))
+    assert tower_dims(sp.from_qls(q)) == dims
+    assert tower_dims(sp.from_hadamard(sp.HadamardMatrix(h))) == dims
 
 
 # ---------------------------------------------------------------------------
