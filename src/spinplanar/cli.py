@@ -32,6 +32,7 @@ import numpy as np
 from . import groups, qit, selftest, subfactor
 from .core import coeff_distance, mult
 from .groups import GroupValidationError
+from .numerics import worst
 from .qit import QitParseError, QitValidationError
 
 EXIT_OK = 0
@@ -179,20 +180,17 @@ def cmd_group(args) -> int:
     computed = [r.dim for r in tower]
     checks: dict[str, float] = {}
     # exact multiplicativity of the width-2 family
-    worst = 0.0
-    for g in range(1, n + 1):
-        for h in range(1, n + 1):
-            worst = max(worst, coeff_distance(mult(oracle.x(g), oracle.x(h)),
-                                              oracle.x(table[g - 1][h - 1])))
-    checks["X_g X_h = X_gh"] = worst
+    checks["X_g X_h = X_gh"] = worst(
+        coeff_distance(mult(oracle.x(g), oracle.x(h)), oracle.x(table[g - 1][h - 1]))
+        for g in range(1, n + 1) for h in range(1, n + 1))
     for level in range(2, args.max_level + 1, 2):
         res = tower[level]
         sums = oracle.orbit_sums(level)
-        checks[f"orbit sums in level-{level} kernel"] = max(
+        checks[f"orbit sums in level-{level} kernel"] = worst(
             subfactor._projection_residual(s, res) for s in sums)
         checks[f"orbit count = dim at level {level}"] = float(len(sums) != res.dim)
         if level == 2:
-            checks["X_g in level-2 kernel"] = max(
+            checks["X_g in level-2 kernel"] = worst(
                 subfactor._projection_residual(oracle.x(g), res) for g in range(1, n + 1))
     dims_ok = computed == oracle.dims
     checks_ok = all(v <= args.tol for v in checks.values())

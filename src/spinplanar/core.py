@@ -20,6 +20,8 @@ rule
 
 which makes every space a finite dimensional C*-algebra: one matrix block per
 value of the slots, with the top tuple as row and the bottom tuple as column.
+Elements are stored as sparse coefficient dicts (`SpinElement`); a product is
+computed as one batched matmul of their blocks (`mult`).
 `basis_indices` enumerates the basis in (left, top, bottom, right) order, so
 a coefficient vector reshapes to (n_left, size, size, n_right) with
 (n_left, size, n_right) = `block_shape` (N or 1 per present or absent slot,
@@ -246,7 +248,7 @@ class SpinElement:
 
 
 def _cleaned(coeffs: dict[SpinIndex, complex]) -> dict[SpinIndex, complex]:
-    return {idx: c for idx, c in coeffs.items() if abs(c) > 0.0}
+    return {idx: c for idx, c in coeffs.items() if c != 0}
 
 
 def zero(ctx: SpinContext, color: SpinColor) -> SpinElement:
@@ -300,23 +302,14 @@ def star(x: SpinElement) -> SpinElement:
 
 
 def mult(x: SpinElement, y: SpinElement) -> SpinElement:
-    """Matrix-unit multiplication (same rule for every color).
+    """Matrix-unit multiplication, one rule for every color: the batched
+    matmul `algebra_blocks(x) @ algebra_blocks(y)`, laid back into basis order.
 
-    A product of basis indices is nonzero exactly when the left, right and S
-    slots agree and x's bottom tuple equals y's top tuple; the surviving index
-    keeps x's top and y's bottom.  On (0,+) this is scalar multiplication and
-    on (0,-) it makes the S(i) a family of orthogonal idempotents.
+    On (0,+) this is scalar multiplication and on (0,-) it makes the S(i) a
+    family of orthogonal idempotents.
     """
     _check_compatible("mult", x, y)
-    buckets: dict[tuple, list[tuple[tuple[int, ...], complex]]] = {}
-    for idx, c in y.coeffs.items():
-        buckets.setdefault((idx.left, idx.top, idx.right, idx.s), []).append((idx.bottom, c))
-    out: dict[SpinIndex, complex] = {}
-    for idx, c in x.coeffs.items():
-        for bottom, d in buckets.get((idx.left, idx.bottom, idx.right, idx.s), ()):
-            key = SpinIndex(idx.left, idx.top, bottom, idx.right, idx.s)
-            out[key] = out.get(key, 0j) + c * d
-    return SpinElement(x.ctx, x.color, _cleaned(out))
+    return _from_blocks(x.ctx, x.color, algebra_blocks(x) @ algebra_blocks(y))
 
 
 def unit(ctx: SpinContext, color: SpinColor) -> SpinElement:
@@ -399,10 +392,10 @@ def normalized_trace(x: SpinElement) -> complex:
 
 
 def inner_product(x: SpinElement, y: SpinElement) -> complex:
-    """<x, y> = tau(star(y) * x); positive definite, diagonal on the basis."""
-    if x.color != y.color:
-        raise ValueError(f"color mismatch in inner_product: {x.color} vs {y.color}")
-    return normalized_trace(mult(star(y), x))
+    """<x, y> = tau(star(y) * x) = basis_weight * sum_I x_I conj(y_I)."""
+    _check_compatible("inner_product", x, y)
+    total = sum((c * y.coefficient(idx).conjugate() for idx, c in x.coeffs.items()), 0j)
+    return total * basis_weight(x.ctx, x.color)
 
 
 def norm(x: SpinElement) -> float:
@@ -411,10 +404,9 @@ def norm(x: SpinElement) -> float:
 
 def coeff_distance(x: SpinElement, y: SpinElement) -> float:
     """Max absolute coefficient difference (residual measure for tests)."""
-    if x.color != y.color:
-        raise ValueError(f"color mismatch: {x.color} vs {y.color}")
+    _check_compatible("coeff_distance", x, y)
     keys = set(x.coeffs) | set(y.coeffs)
-    return max((abs(x.coefficient(k) - y.coefficient(k)) for k in keys), default=0.0)
+    return numerics.worst(abs(x.coefficient(k) - y.coefficient(k)) for k in keys)
 
 
 def algebra_blocks(x: SpinElement) -> np.ndarray:
@@ -429,6 +421,13 @@ def algebra_blocks(x: SpinElement) -> np.ndarray:
     n_left, size, n_right = block_shape(x.ctx, x.color)
     layout = vectorize(x).reshape(n_left, size, size, n_right)
     return layout.transpose(0, 3, 1, 2).reshape(n_left * n_right, size, size)
+
+
+def _from_blocks(ctx: SpinContext, color: SpinColor, blocks: np.ndarray) -> SpinElement:
+    """The inverse of `algebra_blocks`: blocks laid back into basis order."""
+    n_left, size, n_right = block_shape(ctx, color)
+    layout = blocks.reshape(n_left, n_right, size, size).transpose(0, 2, 3, 1)
+    return devectorize(ctx, color, layout.reshape(-1))
 
 
 def op_norm(x: SpinElement) -> float:

@@ -57,6 +57,12 @@ def operator_norm_defect(a) -> float:
     return operator_norm(subtract_identity(a))
 
 
+def worst(residuals) -> float:
+    """The largest residual, 0 for none and NaN if any is NaN (Python's max
+    would let a NaN pass as small)."""
+    return float(np.max(list(residuals), initial=0.0))
+
+
 @dataclass
 class KernelResult:
     """Kernel of a matrix by rank-revealing SVD.

@@ -408,30 +408,25 @@ def verify_planar_closure(results: list[QLevelResult], tol: float = 1e-9) -> Clo
     if len(plus) < 2:
         raise ValueError("need at least two consecutive computed levels")
     ell = next(iter(plus.values())).ell
-    worst = {"unit": 0.0, "product": 0.0, "inclusion": 0.0, "expectation": 0.0,
-             "rotation": 0.0, "star": 0.0}
+    found: dict[str, list[float]] = {kind: [] for kind in (
+        "unit", "product", "inclusion", "expectation", "rotation", "star")}
     for m, res in plus.items():
-        ctx = res.basis[0].ctx if res.basis else None
-        if ctx is not None:
-            worst["unit"] = max(worst["unit"],
-                                _projection_residual(unit(ctx, res.ambient_color), res))
+        if res.basis:
+            found["unit"].append(_projection_residual(unit(res.basis[0].ctx,
+                                                           res.ambient_color), res))
         for a in res.basis:
-            for b in res.basis:
-                worst["product"] = max(worst["product"],
-                                       _projection_residual(mult(a, b), res))
-            worst["star"] = max(worst["star"], _projection_residual(star(a), res))
+            found["product"] += [_projection_residual(mult(a, b), res) for b in res.basis]
+            found["star"].append(_projection_residual(star(a), res))
             if m >= 1:
-                worst["rotation"] = max(worst["rotation"],
-                                        _projection_residual(rotate_pow(a, 2 * ell), res))
+                found["rotation"].append(_projection_residual(rotate_pow(a, 2 * ell), res))
             if m + 1 in plus:
-                worst["inclusion"] = max(worst["inclusion"],
-                                         _projection_residual(incl_right_pow(a, ell),
-                                                              plus[m + 1]))
+                found["inclusion"].append(_projection_residual(incl_right_pow(a, ell),
+                                                               plus[m + 1]))
             if m - 1 in plus:
-                worst["expectation"] = max(worst["expectation"],
-                                           _projection_residual(cond_right_pow(a, ell),
-                                                                plus[m - 1]))
-    return ClosureReport(sorted(plus), worst, tol)
+                found["expectation"].append(_projection_residual(cond_right_pow(a, ell),
+                                                                 plus[m - 1]))
+    return ClosureReport(sorted(plus), {kind: numerics.worst(residuals)
+                                        for kind, residuals in found.items()}, tol)
 
 
 @dataclass

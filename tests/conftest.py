@@ -79,3 +79,19 @@ def rotation_formula(idx: sp.SpinIndex, color: sp.SpinColor, n: int):
     if color.shading == sp.PLUS:
         return {sp.SpinIndex(bottom[0], top, bottom[1:] + (idx.right,), None): 1.0}
     return {sp.SpinIndex(None, (idx.left,) + top[:-1], bottom, top[-1]): 1.0}
+
+
+def matrix_unit_product(x: sp.SpinElement, y: sp.SpinElement) -> dict:
+    """x . y term by term from the matrix-unit rule, as a coefficient dict:
+    e[p)^I_J(q] . e[p')^K_L(q'] = delta_pp' delta_JK delta_qq' e[p)^I_L(q],
+    the S slot of (0,-) agreeing like the left one. Deliberately separate
+    from the library's blockwise product."""
+    buckets = {}
+    for idx, c in y.coeffs.items():
+        buckets.setdefault((idx.left, idx.top, idx.right, idx.s), []).append((idx.bottom, c))
+    out = {}
+    for idx, c in x.coeffs.items():
+        for bottom, d in buckets.get((idx.left, idx.bottom, idx.right, idx.s), ()):
+            key = sp.SpinIndex(idx.left, idx.top, bottom, idx.right, idx.s)
+            out[key] = out.get(key, 0j) + c * d
+    return {idx: c for idx, c in out.items() if c != 0}

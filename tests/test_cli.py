@@ -222,6 +222,28 @@ def test_group_json_payload(files, capsys):
     assert "X_g X_h = X_gh" in payload["checks"]
 
 
+def test_group_nan_check_fails(files, capsys, monkeypatch):
+    # a NaN residual must not fold to 0 and read as a pass
+    monkeypatch.setattr(cli, "coeff_distance", lambda x, y: float("nan"))
+    code, out, _ = run(capsys, "group", "--name", "Z2", "--max-level", "2",
+                       "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert np.isnan(payload["checks"]["X_g X_h = X_gh"])
+    assert not payload["verdict"]
+
+
+def test_closure_nan_residual_fails(files, capsys, monkeypatch):
+    monkeypatch.setattr(sp.subfactor, "_projection_residual", lambda *a: float("nan"))
+    code, out, _ = run(capsys, "qdims", "--input", files["fourier2"],
+                       "--max-level", "2", "--closure")
+    assert code == 0
+    assert "closure: FAIL" in out
+    code, out, _ = run(capsys, "group", "--name", "Z2", "--max-level", "2")
+    assert code == 1
+    assert "verdict: FAIL" in out
+
+
 def test_group_bad_table(files, capsys):
     code, _, err = run(capsys, "group", "--input", files["badgroup"])
     assert code == 2
@@ -261,6 +283,15 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--spins", "2")
     assert code == 0
     assert "verdict: PASS" in out
+
+
+def test_selftest_nan_residual_fails(capsys, monkeypatch):
+    monkeypatch.setattr(sp.selftest, "coeff_distance", lambda x, y: float("nan"))
+    code, out, _ = run(capsys, "selftest", "--spins", "2", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("associativity", "unit laws", "rotation inverse"):
+        assert np.isnan(checks[name]["residual"]) and not checks[name]["ok"]
 
 
 def test_seed_belongs_to_selftest_only(files, capsys):

@@ -5,6 +5,16 @@ import pytest
 
 import spinplanar as sp
 from spinplanar.core import SCALAR_INDEX
+from conftest import matrix_unit_product
+
+ALL_COLORS = [sp.SpinColor(k, sh) for k in range(0, 6) for sh in (sp.PLUS, sp.MINUS)]
+
+
+def _sparse_element(ctx, color, rng, density):
+    """A random element keeping each coefficient with the given probability."""
+    x = sp.random_element(ctx, color, rng)
+    return sp.from_coeffs(ctx, color, {idx: c for idx, c in x.terms()
+                                       if rng.random() < density})
 
 
 def test_color_layout_and_dims(ctx2, ctx3):
@@ -63,6 +73,78 @@ def test_unit_is_identity_everywhere(ctx2, ctx3, rng):
                 one = sp.unit(ctx, c)
                 assert sp.coeff_distance(sp.mult(one, x), x) < 1e-14
                 assert sp.coeff_distance(sp.mult(x, one), x) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mult_matches_matrix_unit_product(n):
+    ctx = sp.SpinContext(n)
+    rng = np.random.default_rng(1300 + n)
+    for c in ALL_COLORS:
+        for density in (0.2, 1.0):
+            x, y = _sparse_element(ctx, c, rng, density), _sparse_element(ctx, c, rng, density)
+            got, want = sp.mult(x, y), matrix_unit_product(x, y)
+            assert set(got.coeffs) == set(want)
+            assert max((abs(got.coefficient(k) - v) for k, v in want.items()),
+                       default=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mult_of_zero_one_elements_is_exact(n):
+    # 0/1 coefficients (group elements and random 0/1 elements) multiply exactly
+    ctx = sp.SpinContext(n)
+    rng = np.random.default_rng(1310 + n)
+    u = sp.group_element(ctx, sp.cyclic_table(n))
+    pairs = [(u, u), (u, sp.star(u)), (sp.star(u), u)]
+    pairs += [(sp.x_element(ctx, sp.cyclic_table(n), g), sp.x_element(ctx, sp.cyclic_table(n), h))
+              for g in range(1, n + 1) for h in range(1, n + 1)]
+    for c in ALL_COLORS:
+        order = sp.basis_order(ctx, c)
+        x, y = (sp.from_coeffs(ctx, c, dict(zip(order, rng.integers(0, 2, len(order)) + 0j)))
+                for _ in range(2))
+        pairs.append((x, y))
+    for x, y in pairs:
+        assert sp.mult(x, y).coeffs == matrix_unit_product(x, y)
+
+
+def test_exact_zero_products_are_empty(ctx3):
+    s1, s2 = (sp.make_basis(ctx3, sp.spin_state(i)) for i in (1, 2))
+    e11 = sp.make_basis(ctx3, sp.SpinIndex(None, (1,), (1,), None))
+    e22 = sp.make_basis(ctx3, sp.SpinIndex(None, (2,), (2,), None))
+    for x, y in ((s1, s2), (e11, e22)):
+        assert sp.mult(x, y).nnz == 0
+        assert matrix_unit_product(x, y) == {}
+
+
+def test_nan_coefficients_are_kept(ctx2):
+    # only exact zeros are pruned: a NaN must not vanish from a result
+    c = sp.SpinColor(2, sp.PLUS)
+    idx = sp.SpinIndex(None, (1,), (2,), None)
+    x = sp.from_coeffs(ctx2, c, {idx: complex("nan"), sp.SpinIndex(None, (2,), (2,), None): 0j})
+    assert x.nnz == 1 and np.isnan(x.coefficient(idx))
+    one = sp.unit(ctx2, c)
+    for out in (sp.add(x, one), sp.mult(x, one), sp.mult(one, x), sp.rotate_pow(x, 1)):
+        assert out.nnz >= 1
+        assert any(np.isnan(v) for _, v in out.terms())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inner_product_is_the_trace_form(n):
+    ctx = sp.SpinContext(n)
+    rng = np.random.default_rng(1320 + n)
+    for c in ALL_COLORS:
+        x, y = sp.random_element(ctx, c, rng), _sparse_element(ctx, c, rng, 0.5)
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert abs(sp.inner_product(a, b)
+                       - sp.normalized_trace(sp.mult(sp.star(b), a))) <= 1e-13
+        assert sp.norm(x) == pytest.approx(
+            np.sqrt(sp.normalized_trace(sp.mult(sp.star(x), x)).real), abs=1e-13)
+
+
+def test_mult_mismatch_messages(ctx2, ctx3):
+    with pytest.raises(ValueError, match=r"color mismatch in mult: \(0,\+\) vs \(0,-\)"):
+        sp.mult(sp.unit(ctx2, sp.SpinColor(0, sp.PLUS)), sp.unit(ctx2, sp.SpinColor(0, sp.MINUS)))
+    with pytest.raises(ValueError, match="context mismatch in mult: N=2 vs N=3"):
+        sp.mult(sp.unit(ctx2, sp.SpinColor(3, sp.MINUS)), sp.unit(ctx3, sp.SpinColor(3, sp.MINUS)))
 
 
 def test_mult_color_mismatch(ctx2, ctx3):

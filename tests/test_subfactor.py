@@ -1,5 +1,7 @@
 """Staircase cabling, the shift embedding, and kernel tower extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,20 @@ def test_planar_closure_fourier():
     assert set(report.residuals) == {"unit", "product", "inclusion",
                                      "expectation", "rotation", "star"}
     assert max(report.residuals.values()) < 1e-9
+
+
+def test_planar_closure_fails_on_a_nan_candidate():
+    # a NaN residual must not fold to 0 and read as a pass
+    results = sp.q_tower(fourier_staircase(2, 3), 3)
+    first = results[1].basis[0]
+    idx = next(iter(first.coeffs))
+    poisoned = sp.SpinElement(first.ctx, first.color, {**first.coeffs, idx: complex("nan")})
+    results[1] = dataclasses.replace(results[1], basis=[poisoned] + results[1].basis[1:])
+    with np.errstate(invalid="ignore"):
+        report = sp.verify_planar_closure(results)
+    assert not report.ok
+    assert np.isnan(report.residuals["product"]) and np.isnan(report.residuals["star"])
+    assert report.residuals["unit"] < 1e-9
 
 
 def test_planar_closure_needs_two_levels():
