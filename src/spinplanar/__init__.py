@@ -13,14 +13,12 @@ from .ops import (cond_left, cond_left_pow, cond_right, cond_right_pow,
                   incl_left, incl_left_pow, incl_right, incl_right_pow,
                   partial_swap, picture_trace_left, picture_trace_right,
                   rotate, rotate_pow)
-from .qit import (BiunitaryCertificate, HadamardMatrix, LatinSquare,
-                  QitParseError, QitValidationError, QuantumLatinSquare,
-                  UnitaryErrorBasis, BiunitaryMatrix, block_transpose,
+from .qit import (BiunitaryCertificate, BiunitaryMatrix, HadamardMatrix,
+                  LatinSquare, QitParseError, QitValidationError,
+                  QuantumLatinSquare, UnitaryErrorBasis, block_transpose,
                   element_from_json, element_to_json, fourier_hadamard,
-                  from_biunitary_matrix, from_hadamard, from_latin, from_qls,
-                  from_ueb, is_biunitary, is_ueb_biunitary, latin_to_qls,
-                  load_qit, qit_from_json, qit_to_json, to_biunitary_matrix,
-                  to_hadamard, to_qls, to_ueb, ueb_clock_shift)
+                  is_biunitary, is_ueb_biunitary, latin_to_qls, load_qit,
+                  qit_from_json, qit_to_json, ueb_clock_shift)
 from .groups import (GroupValidationError, builtin_group, cyclic_table,
                      group_element, orbit_representatives, orbit_sum,
                      predicted_group_dims, s3_table, validate_group, x_element)

@@ -164,18 +164,18 @@ def cmd_group(args) -> int:
     else:
         data = qit.read_json(args.input)
         rows = data.get("rows", data) if isinstance(data, dict) else data
-        if not isinstance(rows, list):
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise QitParseError("a group table file holds a JSON array of rows "
                                 "(or {\"rows\": [...]})")
         table = rows
         label = "table"
     oracle = subfactor.group_oracle(table, args.max_level)
-    n = oracle.n
-    refusal = _check_cap(n, 3, 1, args.max_level, args.cap)
+    n, u, ell = oracle.n, oracle.element, qit.LatinSquare.ell
+    refusal = _check_cap(n, u.color.width, ell, args.max_level, args.cap)
     if refusal:
         print(f"resource refusal: {refusal}", file=sys.stderr)
         return EXIT_RESOURCE
-    stair = subfactor.build_staircase(oracle.element, 1, args.max_level, args.tol)
+    stair = subfactor.build_staircase(u, ell, args.max_level, args.tol)
     tower = subfactor.q_tower(stair, args.max_level)
     computed = [r.dim for r in tower]
     checks: dict[str, float] = {}

@@ -101,24 +101,21 @@ def builtin_group(name: str) -> list[list[int]]:
                                f"unknown builtin {name!r}; available: {', '.join(BUILTIN_GROUPS)}")
 
 
-def group_element(ctx: SpinContext, table) -> SpinElement:
+def group_element(table) -> SpinElement:
     """The biunitary u = sum_{h,k} e^{k*h}_k(h] at (3,+) of a group table, placed
     as its Latin square: product k*h on top, row k below, column h right."""
     validate_group(table)
-    n = len(table)
-    if ctx.N != n:
-        raise ValueError(f"context has N={ctx.N} but the table has {n} elements")
-    return qit.from_latin(qit.LatinSquare(np.array(table)))
+    return qit.LatinSquare(np.array(table)).to_element()
 
 
-def x_element(ctx: SpinContext, table, g: int) -> SpinElement:
+def x_element(table, g: int) -> SpinElement:
     """X_g = sum_q e^q_{q*g} at (2,+); satisfies X_g X_h = X_{g*h} exactly."""
     n = len(table)
     if not 1 <= g <= n:
         raise ValueError(f"group element {g} outside 1..{n}")
     coeffs = {SpinIndex(None, (q,), (table[q - 1][g - 1],), None): 1.0 + 0j
               for q in range(1, n + 1)}
-    return from_coeffs(ctx, SpinColor(2, PLUS), coeffs, validate=False)
+    return from_coeffs(SpinContext(n), SpinColor(2, PLUS), coeffs, validate=False)
 
 
 def orbit_representatives(table, half_width: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -141,8 +138,7 @@ def orbit_representatives(table, half_width: int) -> list[tuple[tuple[int, ...],
     return reps
 
 
-def orbit_sum(ctx: SpinContext, table, top: tuple[int, ...],
-              bottom: tuple[int, ...]) -> SpinElement:
+def orbit_sum(table, top: tuple[int, ...], bottom: tuple[int, ...]) -> SpinElement:
     """sum_g e^{g.top}_{g.bottom} at width 2m, the orbit sum through (top, bottom)."""
     n = len(table)
     m = len(top)
@@ -154,7 +150,7 @@ def orbit_sum(ctx: SpinContext, table, top: tuple[int, ...],
                         tuple(table[g - 1][t - 1] for t in top),
                         tuple(table[g - 1][b - 1] for b in bottom), None)
         coeffs[idx] = coeffs.get(idx, 0.0) + 1.0
-    return from_coeffs(ctx, SpinColor(2 * m, PLUS), coeffs, validate=False)
+    return from_coeffs(SpinContext(n), SpinColor(2 * m, PLUS), coeffs, validate=False)
 
 
 def predicted_group_dims(n: int, max_level: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Converters between quantum-information objects and planar algebra elements.
+"""Quantum-information objects and their planar algebra elements.
 
 Five object families are supported, each with tolerance-checked invariants
 and a bidirectional correspondence with elements of the spin planar algebra:
@@ -11,9 +11,12 @@ and a bidirectional correspondence with elements of the spin planar algebra:
     unitary error basis      <->  width-4 plus element whose partial swap and
                                   one-click rotation are both unitary
 
-Each family is one subclass of `QitObject` and states its facts once, as
-class attributes that validation, conversion, JSON interchange and the
-command line all read:
+Each family is one subclass of `QitObject`, built from its array alone (n is
+read off the array's shape), and converts both ways through its own class:
+`obj.to_element(tol)` validates the object and places it, and
+`Family.from_element(u, tol)` certifies an element and reads the object back.
+Each class states its facts once, as class attributes that validation,
+conversion, JSON interchange and the command line all read:
 
     kind    the JSON `type` of its object files
     name    its name in reports
@@ -27,12 +30,9 @@ command line all read:
             in `core`'s basis order (left slot, top, bottom, right slot)
     scaled  whether coefficients are the array's entries over sqrt(n)
 
-A Latin square, and so a group table, is placed as its quantum Latin square
-image.  Index placement is load-bearing and covered by regression tests:
-a^k_{ij} (row i, column j, component k) maps to e^k_i(j] (component on top,
-row on the bottom, column in the right slot), a^{ij}_{kl} maps to
-e^{ij}_{lk} (bottom tuple (l,k), note the swap), and unitary error basis
-entries B(j,l)[i,k] / sqrt(n) map to e^{ij}_{lk}.  Certificates carry named
+Each class docstring states its placement formula.  A Latin square, and so
+a group table, is placed as its quantum Latin square image.  Index placement
+is load-bearing and covered by regression tests.  Certificates carry named
 residuals; a rejection names the violated identity through its residual key
 rather than by prose.
 """
@@ -90,20 +90,13 @@ class QitObject:
         except (TypeError, ValueError, OverflowError) as exc:
             raise QitParseError(f"{self.name} {self.field}: {exc}") from None
         n = round(a.shape[-1] ** (1 / self.shape[-1])) if a.ndim == len(self.shape) else 0
-        given = getattr(self, "n", n)  # a biunitary matrix is given n, the others read it
-        if n < 1 or a.shape != tuple(n ** p for p in self.shape) or given != n:
+        if n < 1 or a.shape != tuple(n ** p for p in self.shape):
             pattern = " x ".join("n" if p == 1 else f"n^{p}" for p in self.shape)
-            raise QitParseError(f"{self.name} needs an {pattern} array, got shape {a.shape}"
-                                + (f" for n={given}" if given != n else ""))
+            raise QitParseError(f"{self.name} needs an {pattern} array, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise QitParseError(f"{self.name} has non-finite entries")
         setattr(self, self.field, a)
         self.n = n
-
-    @classmethod
-    def of(cls, n: int, array) -> "QitObject":
-        """The object of order n holding array."""
-        return cls(array)
 
     def defects(self) -> dict[str, float]:
         raise NotImplementedError
@@ -136,10 +129,25 @@ class QitObject:
             v = (v.view(float) / n ** 0.5).view(complex)
         return devectorize(SpinContext(n), SpinColor(self.width, PLUS), v)
 
+    @classmethod
+    def from_element(cls, u: SpinElement, tol: float = DEFAULT_TOL) -> "QitObject":
+        """The object whose element is u, after certifying u."""
+        color = SpinColor(cls.width, PLUS)
+        if u.color != color:
+            raise ValueError(f"a {cls.name} is read from an element of {color}, got {u.color}")
+        cert = cls.certificate(u, tol)
+        if not cert.verdict:
+            raise QitValidationError(f"{cls.kind}-element", cert.residuals)
+        n = u.ctx.N
+        a = vectorize(u).reshape((n,) * cls.width).transpose(np.argsort(cls.axes))
+        a = a.reshape([n ** p for p in cls.shape])
+        return cls(a * n ** 0.5 if cls.scaled else a)
+
 
 @dataclass
 class HadamardMatrix(QitObject):
-    """n x n complex matrix with unimodular entries and HH* = nI."""
+    """n x n complex matrix with unimodular entries and HH* = nI, placed as
+    u = sum_ij (h_ij / sqrt(n)) e^i_j in (2,+)."""
 
     kind, name, field, shape = "hadamard", "Hadamard matrix", "entries", (1, 1)
     ell, width, axes, scaled = 1, 2, (0, 1), True
@@ -157,7 +165,9 @@ class HadamardMatrix(QitObject):
 class QuantumLatinSquare(QitObject):
     """n x n array of vectors in C^n; every row and column is an orthonormal basis.
 
-    vectors[i, j, k] is component k of the vector at row i, column j.
+    vectors[i, j, k] is component k of the vector at row i, column j.  Placed
+    as u = sum a^k_{ij} e^k_i(j] in (3,+), a^k_{ij} = vectors[i, j, k]: the
+    component on top, the row on the bottom, the column in the right slot.
     """
 
     kind, name, field, shape = "qls", "quantum Latin square", "vectors", (1, 1, 1)
@@ -179,7 +189,8 @@ class QuantumLatinSquare(QitObject):
 
 @dataclass
 class LatinSquare(QitObject):
-    """n x n array over symbols 1..n, each once per row and per column."""
+    """n x n array over symbols 1..n, each once per row and per column, placed
+    as its quantum Latin square image: u = sum_ij e^{rows[i, j]}_i(j] in (3,+)."""
 
     kind, name, field, shape, dtype = "latin", "Latin square", "rows", (1, 1), int
     ell, width, axes, scaled = (QuantumLatinSquare.ell, QuantumLatinSquare.width,
@@ -201,6 +212,11 @@ class LatinSquare(QitObject):
     def coefficients(self) -> np.ndarray:
         return np.eye(self.n, dtype=complex)[self.rows - 1]
 
+    @classmethod
+    def from_element(cls, u: SpinElement, tol: float = DEFAULT_TOL) -> "QitObject":
+        raise ValueError("a Latin square is not read back from an element; "
+                         "QuantumLatinSquare.from_element reads its image")
+
 
 @dataclass
 class BiunitaryMatrix(QitObject):
@@ -209,17 +225,14 @@ class BiunitaryMatrix(QitObject):
     Entries are indexed by ordered pairs, row (i,j) and column (k,l), with the
     pair (a,b) at position (a-1)*n + (b-1); the block transpose exchanges the
     row of the first pair slot with the column of the first pair slot:
-    v^{ij}_{kl} = u^{kj}_{il}.
+    v^{ij}_{kl} = u^{kj}_{il}.  Placed as u = sum a^{ij}_{kl} e^{ij}_{lk} in
+    (4,+), a^{ij}_{kl} = entries[(i,j),(k,l)] (bottom tuple (l,k), note the
+    swap).
     """
 
     kind, name, field, shape = "biunitary", "biunitary matrix", "entries", (2, 2)
     ell, width, axes, scaled = 2, 4, (0, 1, 3, 2), False
-    n: int
     entries: np.ndarray
-
-    @classmethod
-    def of(cls, n: int, array) -> "BiunitaryMatrix":
-        return cls(n, array)
 
     def defects(self) -> dict[str, float]:
         u = self.entries
@@ -235,7 +248,8 @@ class BiunitaryMatrix(QitObject):
 class UnitaryErrorBasis(QitObject):
     """n^2 unitary n x n matrices, orthonormal under <A,B> = Tr(B*A)/n.
 
-    matrices[j*n + l] is the matrix B(j,l).
+    matrices[j*n + l] is the matrix B(j,l).  Placed in (4,+) with
+    a^{ij}_{kl} = B(j,l)[i,k] / sqrt(n) at e^{ij}_{lk}.
     """
 
     kind, name, field, shape = "ueb", "unitary error basis", "matrices", (2, 1, 1)
@@ -316,68 +330,13 @@ def is_ueb_biunitary(u: SpinElement, tol: float = DEFAULT_TOL) -> BiunitaryCerti
 
 
 # ---------------------------------------------------------------------------
-# converters
-
-
-def _from_element(cls: type[QitObject], u: SpinElement, tol: float) -> QitObject:
-    """The object of family cls whose element is u, after certifying u."""
-    color = SpinColor(cls.width, PLUS)
-    if u.color != color:
-        raise ValueError(f"a {cls.name} is read from an element of {color}, got {u.color}")
-    cert = cls.certificate(u, tol)
-    if not cert.verdict:
-        raise QitValidationError(f"{cls.kind}-element", cert.residuals)
-    n = u.ctx.N
-    a = vectorize(u).reshape((n,) * cls.width).transpose(np.argsort(cls.axes))
-    a = a.reshape([n ** p for p in cls.shape])
-    return cls.of(n, a * n ** 0.5 if cls.scaled else a)
-
-
-def from_hadamard(h: HadamardMatrix, tol: float = DEFAULT_TOL) -> SpinElement:
-    """u = sum_ij (h_ij / sqrt(n)) e^i_j in (2,+)."""
-    return h.to_element(tol)
-
-
-def to_hadamard(u: SpinElement, tol: float = DEFAULT_TOL) -> HadamardMatrix:
-    return _from_element(HadamardMatrix, u, tol)
+# conversions between families
 
 
 def latin_to_qls(square: LatinSquare) -> QuantumLatinSquare:
     """Rows of basis vectors: the vector at (i, j) is e_{square[i][j]}."""
     square.validate()
     return QuantumLatinSquare(square.coefficients())
-
-
-def from_qls(q: QuantumLatinSquare, tol: float = DEFAULT_TOL) -> SpinElement:
-    """u = sum a^k_{ij} e^k_i(j] in (3,+), a^k_{ij} = vectors[i, j, k]: the
-    component on top, the row on the bottom, the column in the right slot."""
-    return q.to_element(tol)
-
-
-def to_qls(u: SpinElement, tol: float = DEFAULT_TOL) -> QuantumLatinSquare:
-    return _from_element(QuantumLatinSquare, u, tol)
-
-
-def from_latin(square: LatinSquare, tol: float = DEFAULT_TOL) -> SpinElement:
-    return square.to_element(tol)
-
-
-def from_biunitary_matrix(b: BiunitaryMatrix, tol: float = DEFAULT_TOL) -> SpinElement:
-    """u = sum a^{ij}_{kl} e^{ij}_{lk} in (4,+), a^{ij}_{kl} = entries[(i,j),(k,l)]."""
-    return b.to_element(tol)
-
-
-def to_biunitary_matrix(u: SpinElement, tol: float = DEFAULT_TOL) -> BiunitaryMatrix:
-    return _from_element(BiunitaryMatrix, u, tol)
-
-
-def from_ueb(e: UnitaryErrorBasis, tol: float = DEFAULT_TOL) -> SpinElement:
-    """Element with a^{ij}_{kl} = B(j,l)[i,k] / sqrt(n), assembled as e^{ij}_{lk}."""
-    return e.to_element(tol)
-
-
-def to_ueb(u: SpinElement, tol: float = DEFAULT_TOL) -> UnitaryErrorBasis:
-    return _from_element(UnitaryErrorBasis, u, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +431,7 @@ def qit_from_json(data) -> QitObject:
     dims = [n ** p for p in cls.shape]
     leaf = _int_from_json if cls.dtype is int else _c_from_json
     what = f"{kind} '{cls.field}' must be a {' x '.join(map(str, dims))} array"
-    return cls.of(n, _nested(data.get(cls.field), dims, leaf, what))
+    return cls(_nested(data.get(cls.field), dims, leaf, what))
 
 
 def read_json(path: str):

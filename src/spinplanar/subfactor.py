@@ -34,8 +34,8 @@ from .core import (MINUS, PLUS, SpinColor, SpinContext, SpinElement,
                    color_dim, mult, star, unit, vectorize, devectorize, norm)
 from .ops import (cond_left_pow, cond_right_pow, incl_left_pow,
                   incl_right_pow, rotate_pow)
-from .groups import (orbit_representatives, orbit_sum, predicted_group_dims,
-                     validate_group, group_element, x_element)
+from .groups import (group_element, orbit_representatives, orbit_sum,
+                     predicted_group_dims, x_element)
 from . import qit
 
 
@@ -107,14 +107,14 @@ def build_staircase(u: SpinElement, ell: int, max_level: int,
     levels).  With check=True the biunitarity certificate is required to
     pass first, since every staircase element inherits unitarity from it.
     """
+    if max_level < 0:
+        raise ValueError("max_level must be nonnegative")
     cab = CablingData(u.color.width, ell, u.color.shading)
     if check:
         cert = qit.is_biunitary(u, ell, tol)
         if not cert.verdict:
             listing = ", ".join(f"{k}={v:.3g}" for k, v in cert.residuals.items())
             raise ValueError(f"input fails the {cert.kind} biunitarity certificate: {listing}")
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
     ctx = u.ctx
     elements = [unit(ctx, SpinColor(cab.depth, cab.shading))]
     back = rotate_pow(star(u), -ell)
@@ -253,11 +253,12 @@ class QLevelResult:
     kernel_matrix: np.ndarray = field(default=None, repr=False)
 
 
-def _kernel_result(op: MembershipOperator, ctx: SpinContext, rel_tol: float) -> tuple:
+def _kernel_result(op: MembershipOperator, ctx: SpinContext) -> tuple:
     # abs_tol=rel_tol: columns come from unit basis vectors through an
     # isometry minus a contraction, so the natural scale of L is one; a
     # singular value at roundoff means the direction is in the kernel even
     # when the whole matrix is numerically zero (level 0, where L = 0).
+    rel_tol = numerics.DEFAULT_REL_TOL
     try:
         ker = numerics.kernel_basis(op.matrix, rel_tol, abs_tol=rel_tol)
     except np.linalg.LinAlgError as exc:
@@ -275,7 +276,7 @@ def _kernel_result(op: MembershipOperator, ctx: SpinContext, rel_tol: float) -> 
     return ker, residual, elements
 
 
-def q_level(stair: Staircase, m: int, rel_tol: float = numerics.DEFAULT_REL_TOL) -> QLevelResult:
+def q_level(stair: Staircase, m: int) -> QLevelResult:
     """Compute Q at plus-shaded level m: kernel of the membership operator.
 
     The minus-shaded space at the same level is the image of the kernel
@@ -283,7 +284,7 @@ def q_level(stair: Staircase, m: int, rel_tol: float = numerics.DEFAULT_REL_TOL)
     subalgebra is closed under it, so the image has the same dimension).
     """
     op = membership_operator(stair, m)
-    ker, residual, elements = _kernel_result(op, stair.ctx, rel_tol)
+    ker, residual, elements = _kernel_result(op, stair.ctx)
     minus_basis = []
     if m >= 1:
         minus_basis = [rotate_pow(b, stair.cab.ell) for b in elements]
@@ -291,18 +292,17 @@ def q_level(stair: Staircase, m: int, rel_tol: float = numerics.DEFAULT_REL_TOL)
                         op.ambient_color, stair.cab.ell, False, ker.basis)
 
 
-def q_zero_minus(stair: Staircase, rel_tol: float = numerics.DEFAULT_REL_TOL) -> QLevelResult:
+def q_zero_minus(stair: Staircase) -> QLevelResult:
     """Compute Q at the minus-shaded level 0 directly with the shaded unit."""
     op = membership_operator(stair, 0, minus=True)
-    ker, residual, elements = _kernel_result(op, stair.ctx, rel_tol)
+    ker, residual, elements = _kernel_result(op, stair.ctx)
     return QLevelResult(0, ker.dim, elements, [], residual, ker.gap,
                         op.ambient_color, stair.cab.ell, True, ker.basis)
 
 
-def q_tower(stair: Staircase, max_level: int,
-            rel_tol: float = numerics.DEFAULT_REL_TOL) -> list[QLevelResult]:
+def q_tower(stair: Staircase, max_level: int) -> list[QLevelResult]:
     """Plus-shaded kernels at levels 0..max_level."""
-    return [q_level(stair, m, rel_tol) for m in range(max_level + 1)]
+    return [q_level(stair, m) for m in range(max_level + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +435,23 @@ class GroupOracle:
 
     table: list[list[int]]
     n: int
-    ctx: SpinContext
     element: SpinElement
     dims: list[int]
 
     def x(self, g: int) -> SpinElement:
-        return x_element(self.ctx, self.table, g)
+        return x_element(self.table, g)
 
     def orbit_sums(self, level: int) -> list[SpinElement]:
         """Kernel basis at an even level 2m: orbit sums of the diagonal action."""
         if level <= 0 or level % 2:
             raise ValueError(f"orbit sums are defined at even levels >= 2, got {level}")
         half = level // 2
-        return [orbit_sum(self.ctx, self.table, top, bottom)
+        return [orbit_sum(self.table, top, bottom)
                 for top, bottom in orbit_representatives(self.table, half)]
 
 
 def group_oracle(table, max_level: int) -> GroupOracle:
     """Validate the table and package the closed-form group predictions."""
-    validate_group(table)
-    n = len(table)
-    ctx = SpinContext(n)
-    return GroupOracle([list(r) for r in table], n, ctx,
-                       group_element(ctx, table),
-                       predicted_group_dims(n, max_level))
+    element = group_element(table)
+    return GroupOracle([list(r) for r in table], len(table), element,
+                       predicted_group_dims(len(table), max_level))

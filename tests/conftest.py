@@ -57,8 +57,7 @@ def z3_latin() -> sp.LatinSquare:
 
 def tensor_biunitary(n: int, seed: int = 11) -> sp.BiunitaryMatrix:
     """A (x) B for Haar-random unitaries A, B: always biunitary."""
-    return sp.BiunitaryMatrix(n, np.kron(haar_unitary(n, seed),
-                                         haar_unitary(n, seed + 1)))
+    return sp.BiunitaryMatrix(np.kron(haar_unitary(n, seed), haar_unitary(n, seed + 1)))
 
 
 def rotation_formula(idx: sp.SpinIndex, color: sp.SpinColor, n: int):

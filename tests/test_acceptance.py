@@ -52,24 +52,22 @@ def accepted_zero_ell_inputs():
     """Every input family certified as a width-k element with one cable width."""
     cases = []
     for n in range(2, 7):
-        cases.append((f"fourier{n}", sp.from_hadamard(sp.fourier_hadamard(n)), 1))
+        cases.append((f"fourier{n}", sp.fourier_hadamard(n).to_element(), 1))
     for name in ("Z2", "Z3", "Z4", "Z5", "S3"):
-        table = sp.builtin_group(name)
-        ctx = sp.SpinContext(len(table))
-        cases.append((name, sp.group_element(ctx, table), 1))
-    cases.append(("latin5", sp.from_latin(latin5()), 1))
+        cases.append((name, sp.group_element(sp.builtin_group(name)), 1))
+    cases.append(("latin5", latin5().to_element(), 1))
     for n in (2, 3):
-        cases.append((f"AB{n}", sp.from_biunitary_matrix(tensor_biunitary(n)), 2))
+        cases.append((f"AB{n}", tensor_biunitary(n).to_element(), 2))
     return cases
 
 
 TOWER_SPECS = {
-    "fourier2": (lambda: sp.from_hadamard(sp.fourier_hadamard(2)), 1, 3),
-    "Z2": (lambda: sp.group_element(sp.SpinContext(2), sp.cyclic_table(2)), 1, 4),
-    "Z3": (lambda: sp.group_element(sp.SpinContext(3), sp.cyclic_table(3)), 1, 4),
-    "S3": (lambda: sp.group_element(sp.SpinContext(6), sp.s3_table()), 1, 3),
-    "AB2": (lambda: sp.from_biunitary_matrix(tensor_biunitary(2)), 2, 1),
-    "AB3": (lambda: sp.from_biunitary_matrix(tensor_biunitary(3)), 2, 1),
+    "fourier2": (lambda: sp.fourier_hadamard(2).to_element(), 1, 3),
+    "Z2": (lambda: sp.group_element(sp.cyclic_table(2)), 1, 4),
+    "Z3": (lambda: sp.group_element(sp.cyclic_table(3)), 1, 4),
+    "S3": (lambda: sp.group_element(sp.s3_table()), 1, 3),
+    "AB2": (lambda: tensor_biunitary(2).to_element(), 2, 1),
+    "AB3": (lambda: tensor_biunitary(3).to_element(), 2, 1),
 }
 
 
@@ -146,7 +144,7 @@ def test_ac03_families_and_perturbations():
         if not (cert.verdict and cert.max_residual() <= 1e-12):
             problems.append(f"{name} not accepted ({cert.max_residual():.2e})")
     for n in (2, 3):
-        cert = sp.is_ueb_biunitary(sp.from_ueb(sp.ueb_clock_shift(n)))
+        cert = sp.is_ueb_biunitary(sp.ueb_clock_shift(n).to_element())
         if not cert.verdict:
             problems.append(f"clock/shift {n} not accepted")
 
@@ -174,7 +172,7 @@ def test_ac03_families_and_perturbations():
     for t in range(5):
         e = tensor_biunitary(2).entries.copy()
         e[t % 4, (t + 1) % 4] += 0.2
-        if not _rejected_with(sp.BiunitaryMatrix(2, e), "unitarity"):
+        if not _rejected_with(sp.BiunitaryMatrix(e), "unitarity"):
             problems.append(f"biunitary perturbation {t} missed")
     for t in range(5):
         mats = sp.ueb_clock_shift(2).matrices.copy()
@@ -186,17 +184,20 @@ def test_ac03_families_and_perturbations():
     trips = []
     for n in range(2, 7):
         h = sp.fourier_hadamard(n)
-        trips.append(np.max(np.abs(sp.to_hadamard(sp.from_hadamard(h)).entries
+        trips.append(np.max(np.abs(sp.HadamardMatrix.from_element(h.to_element()).entries
                                    - h.entries)))
     q = sp.latin_to_qls(latin5())
-    trips.append(np.max(np.abs(sp.to_qls(sp.from_qls(q)).vectors - q.vectors)))
-    trips.append(np.max(np.abs(sp.to_qls(sp.from_latin(latin5())).vectors - q.vectors)))
+    trips.append(np.max(np.abs(
+        sp.QuantumLatinSquare.from_element(q.to_element()).vectors - q.vectors)))
+    trips.append(np.max(np.abs(
+        sp.QuantumLatinSquare.from_element(latin5().to_element()).vectors - q.vectors)))
     for n in (2, 3):
         b = tensor_biunitary(n)
         trips.append(np.max(np.abs(
-            sp.to_biunitary_matrix(sp.from_biunitary_matrix(b)).entries - b.entries)))
+            sp.BiunitaryMatrix.from_element(b.to_element()).entries - b.entries)))
         e = sp.ueb_clock_shift(n)
-        trips.append(np.max(np.abs(sp.to_ueb(sp.from_ueb(e)).matrices - e.matrices)))
+        trips.append(np.max(np.abs(
+            sp.UnitaryErrorBasis.from_element(e.to_element()).matrices - e.matrices)))
     if max(trips) > 1e-12:
         problems.append(f"round trip deviation {max(trips):.2e}")
 
@@ -362,16 +363,15 @@ def test_ac09_group_structure():
     for name, (n, even_levels) in plans.items():
         table = sp.builtin_group(name)
         stair, results = tower(name)
-        ctx = stair.ctx
         for g in range(1, n + 1):
             for h in range(1, n + 1):
-                got = sp.mult(sp.x_element(ctx, table, g), sp.x_element(ctx, table, h))
-                if sp.coeff_distance(got, sp.x_element(ctx, table,
+                got = sp.mult(sp.x_element(table, g), sp.x_element(table, h))
+                if sp.coeff_distance(got, sp.x_element(table,
                                                        table[g - 1][h - 1])) != 0.0:
                     problems.append(f"{name}: X_{g} X_{h} not exact")
         op2 = sp.membership_operator(stair, 2)
         for g in range(1, n + 1):
-            v = sp.vectorize(sp.x_element(ctx, table, g))
+            v = sp.vectorize(sp.x_element(table, g))
             worst_member = max(worst_member,
                                np.linalg.norm(op2.matrix @ v) / np.linalg.norm(v))
         for level in even_levels:
@@ -382,7 +382,7 @@ def test_ac09_group_structure():
                                 f"{results[level].dim} at level {level}")
             op = op2 if level == 2 else sp.membership_operator(stair, level)
             for top, bottom in reps:
-                v = sp.vectorize(sp.orbit_sum(ctx, table, top, bottom))
+                v = sp.vectorize(sp.orbit_sum(table, top, bottom))
                 worst_member = max(worst_member,
                                    np.linalg.norm(op.matrix @ v) / np.linalg.norm(v))
     if worst_member > 1e-9:

@@ -135,7 +135,7 @@ def test_convert_is_deterministic_and_faithful(files, capsys):
     code, out2, _ = run(capsys, "convert", "--input", files["fourier2"])
     assert out1 == out2
     element = sp.element_from_json(json.loads(out1))
-    want = sp.from_hadamard(sp.fourier_hadamard(2))
+    want = sp.fourier_hadamard(2).to_element()
     assert sp.coeff_distance(element, want) < 1e-15
 
 
@@ -242,6 +242,23 @@ def test_closure_nan_residual_fails(files, capsys, monkeypatch):
     code, out, _ = run(capsys, "group", "--name", "Z2", "--max-level", "2")
     assert code == 1
     assert "verdict: FAIL" in out
+
+
+def test_group_cap_refusal(capsys):
+    code, out, err = run(capsys, "group", "--name", "S3", "--max-level", "4", "--cap", "10000")
+    assert code == 3
+    assert "resource refusal" in err and "46656-row operator" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("content", [{"rows": 5}, "Z3", [1, 2]])
+def test_group_table_file_holds_rows(tmp_path, capsys, content):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "group", "--input", str(path))
+    assert code == 2
+    assert "input error: a group table file holds a JSON array of rows" in err
+    assert out == ""
 
 
 def test_group_bad_table(files, capsys):

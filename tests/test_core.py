@@ -93,9 +93,9 @@ def test_mult_of_zero_one_elements_is_exact(n):
     # 0/1 coefficients (group elements and random 0/1 elements) multiply exactly
     ctx = sp.SpinContext(n)
     rng = np.random.default_rng(1310 + n)
-    u = sp.group_element(ctx, sp.cyclic_table(n))
+    u = sp.group_element(sp.cyclic_table(n))
     pairs = [(u, u), (u, sp.star(u)), (sp.star(u), u)]
-    pairs += [(sp.x_element(ctx, sp.cyclic_table(n), g), sp.x_element(ctx, sp.cyclic_table(n), h))
+    pairs += [(sp.x_element(sp.cyclic_table(n), g), sp.x_element(sp.cyclic_table(n), h))
               for g in range(1, n + 1) for h in range(1, n + 1)]
     for c in ALL_COLORS:
         order = sp.basis_order(ctx, c)

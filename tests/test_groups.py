@@ -70,20 +70,19 @@ def test_s3_table_structure():
 
 def test_x_elements_multiply_exactly():
     table = sp.s3_table()
-    ctx = sp.SpinContext(6)
     for g in range(1, 7):
         for h in range(1, 7):
-            xg = sp.x_element(ctx, table, g)
-            xh = sp.x_element(ctx, table, h)
+            xg = sp.x_element(table, g)
+            xh = sp.x_element(table, h)
             gh = table[g - 1][h - 1]
-            assert sp.coeff_distance(sp.mult(xg, xh), sp.x_element(ctx, table, gh)) == 0.0
+            assert sp.coeff_distance(sp.mult(xg, xh), sp.x_element(table, gh)) == 0.0
 
 
 def test_x_identity_is_unit():
     table = sp.cyclic_table(4)
     ctx = sp.SpinContext(4)
     one = sp.unit(ctx, sp.SpinColor(2, sp.PLUS))
-    assert sp.coeff_distance(sp.x_element(ctx, table, 1), one) == 0.0
+    assert sp.coeff_distance(sp.x_element(table, 1), one) == 0.0
 
 
 def test_orbit_counts():
@@ -95,16 +94,24 @@ def test_orbit_counts():
 
 def test_orbit_sum_shape_and_invariance():
     table = sp.cyclic_table(3)
-    ctx = sp.SpinContext(3)
     reps = sp.orbit_representatives(table, 1)
     total = None
     for top, bottom in reps:
-        s = sp.orbit_sum(ctx, table, top, bottom)
+        s = sp.orbit_sum(table, top, bottom)
         assert s.color == sp.SpinColor(2, sp.PLUS)
         total = s if total is None else sp.add(total, s)
     # orbits partition the index set: the three sums cover all 9 matrix units
     assert len(total.coeffs) == 9
     assert all(abs(c - 1.0) < 1e-15 for c in total.coeffs.values())
+
+
+def test_group_builders_read_n_off_the_table():
+    table = sp.s3_table()
+    ctx = sp.SpinContext(6)
+    assert sp.group_element(table).ctx == ctx
+    assert sp.x_element(table, 2).ctx == ctx
+    assert sp.orbit_sum(table, (1, 2), (3, 4)).ctx == ctx
+    assert sp.group_oracle(table, 2).element.ctx == ctx
 
 
 def test_predicted_dims():

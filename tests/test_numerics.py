@@ -109,8 +109,8 @@ TALL_CASES = {
     "random rank 30 of 40": planted_kernel,
     "exact zero columns": zero_columns,
     "S3 level 2": lambda: membership_matrix(
-        sp.group_element(sp.SpinContext(6), sp.s3_table()), 2),
-    "F4 level 3": lambda: membership_matrix(sp.from_hadamard(sp.fourier_hadamard(4)), 3),
+        sp.group_element(sp.s3_table()), 2),
+    "F4 level 3": lambda: membership_matrix(sp.fourier_hadamard(4).to_element(), 3),
 }
 
 

@@ -51,7 +51,7 @@ def test_biunitary_accept_reject():
     b.validate(1e-10)
     # a generic unitary fails only the block-transpose half
     u = haar_unitary(4, 5)
-    d = sp.BiunitaryMatrix(2, u).defects()
+    d = sp.BiunitaryMatrix(u).defects()
     assert d["unitarity"] < 1e-10
     assert d["block-transpose-unitarity"] > 1e-2
 
@@ -70,7 +70,7 @@ def test_shape_errors_are_parse_errors():
     with pytest.raises(sp.QitParseError):
         sp.HadamardMatrix(np.ones((2, 3)))
     with pytest.raises(sp.QitParseError):
-        sp.BiunitaryMatrix(2, np.eye(3))
+        sp.BiunitaryMatrix(np.eye(3))
     with pytest.raises(sp.QitParseError):
         sp.UnitaryErrorBasis(np.zeros((3, 2, 2)))
 
@@ -80,7 +80,7 @@ def test_shape_errors_are_parse_errors():
 
 
 def test_is_biunitary_requires_interior_ell(ctx2):
-    u = sp.from_hadamard(sp.fourier_hadamard(2))
+    u = sp.fourier_hadamard(2).to_element()
     with pytest.raises(ValueError):
         sp.is_biunitary(u, 0)
     with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ def test_unit_width_two_fails_rotation_only(ctx2):
 
 def test_certificate_equivalence_both_ways(ctx2, rng):
     # accept instance: all four identities hold
-    u = sp.from_hadamard(sp.fourier_hadamard(2))
+    u = sp.fourier_hadamard(2).to_element()
     cert = sp.is_biunitary(u, 1)
     assert cert.verdict and cert.max_residual() < 1e-12
     for name in ("uu*-1", "u*u-1", "rot(u)rot(u)*-1", "rot(u)*rot(u)-1"):
@@ -127,8 +127,8 @@ def test_hadamard_round_trip_and_placement():
     d1, d2 = (np.exp(2j * np.pi * rng.random(n)) for _ in range(2))
     f = sp.fourier_hadamard(n).entries[np.ix_(rng.permutation(n), rng.permutation(n))]
     h = sp.HadamardMatrix(d1[:, None] * f * d2[None, :])
-    u = sp.from_hadamard(h)
-    back = sp.to_hadamard(u)
+    u = h.to_element()
+    back = sp.HadamardMatrix.from_element(u)
     assert u.color == sp.SpinColor(2, sp.PLUS) and u.nnz == n ** 2
     # h_ij / sqrt(n) sits at e^i_j
     for i, j in itertools.product(range(n), repeat=2):
@@ -146,8 +146,8 @@ def test_qls_round_trip_and_placement():
     rows = symbols[latin5().rows[np.ix_(rng.permutation(n), rng.permutation(n))] - 1]
     phases = np.exp(2j * np.pi * rng.random((n, n, 1)))
     q = sp.QuantumLatinSquare(phases * sp.latin_to_qls(sp.LatinSquare(rows)).vectors)
-    u = sp.from_qls(q)
-    back = sp.to_qls(u)
+    u = q.to_element()
+    back = sp.QuantumLatinSquare.from_element(u)
     assert u.color == sp.SpinColor(3, sp.PLUS) and u.nnz == n ** 2
     # a^k_{ij} = vectors[i, j, k] sits at e^k_i(j]: component on top, row on
     # the bottom, column in the right slot
@@ -161,17 +161,17 @@ def test_qls_round_trip_and_placement():
 def test_dense_qls_certificate_and_round_trip(make, seed):
     # every vector of the square turned by one Haar unitary: a dense QLS
     q = haar_qls(make(), seed)
-    u = sp.from_qls(q)
+    u = q.to_element()
     cert = sp.is_biunitary(u, 1)
     assert cert.verdict and cert.max_residual() <= 1e-14
-    assert np.max(np.abs(sp.to_qls(u).vectors - q.vectors)) <= 1e-15
+    assert np.max(np.abs(sp.QuantumLatinSquare.from_element(u).vectors - q.vectors)) <= 1e-15
 
 
 def test_biunitary_round_trip_and_placement():
     n = 3
     b = tensor_biunitary(n, seed=33)
-    u = sp.from_biunitary_matrix(b)
-    back = sp.to_biunitary_matrix(u)
+    u = b.to_element()
+    back = sp.BiunitaryMatrix.from_element(u)
     assert u.color == sp.SpinColor(4, sp.PLUS) and u.nnz == n ** 4
     # a^{ij}_{kl}, the entry at row pair (i,j) and column pair (k,l), sits at
     # e^{ij}_{lk}: top (i,j), bottom (l,k)
@@ -189,8 +189,8 @@ def test_ueb_round_trip_and_placement():
     e = sp.UnitaryErrorBasis(phases * (haar_unitary(n, 34) @ sp.ueb_clock_shift(n).matrices
                                        @ haar_unitary(n, 35)))
     e.validate()
-    u = sp.from_ueb(e)
-    back = sp.to_ueb(u)
+    u = e.to_element()
+    back = sp.UnitaryErrorBasis.from_element(u)
     assert u.color == sp.SpinColor(4, sp.PLUS) and u.nnz == n ** 4
     # a^{ij}_{kl} = B(j,l)[i,k] / sqrt(n), B(j,l) = matrices[j*n + l], sits at e^{ij}_{lk}
     for i, j, k, l in itertools.product(range(n), repeat=4):
@@ -211,12 +211,13 @@ def _hadamard_equivalent(n: int, seed: int) -> sp.HadamardMatrix:
 # one instance per family, with no permutation structure outside the integer
 # family, and the reader of its element (a Latin square reads back as its QLS)
 GENERIC_INSTANCES = {
-    "hadamard": (lambda: _hadamard_equivalent(4, 38), sp.to_hadamard),
-    "latin": (latin5, sp.to_qls),
-    "qls": (lambda: haar_qls(latin5(), 39), sp.to_qls),
-    "biunitary": (lambda: tensor_biunitary(3, seed=40), sp.to_biunitary_matrix),
+    "hadamard": (lambda: _hadamard_equivalent(4, 38), sp.HadamardMatrix.from_element),
+    "latin": (latin5, sp.QuantumLatinSquare.from_element),
+    "qls": (lambda: haar_qls(latin5(), 39), sp.QuantumLatinSquare.from_element),
+    "biunitary": (lambda: tensor_biunitary(3, seed=40), sp.BiunitaryMatrix.from_element),
     "ueb": (lambda: sp.UnitaryErrorBasis(haar_unitary(3, 42) @ sp.ueb_clock_shift(3).matrices
-                                         @ haar_unitary(3, 43)), sp.to_ueb),
+                                         @ haar_unitary(3, 43)),
+            sp.UnitaryErrorBasis.from_element),
 }
 
 
@@ -237,16 +238,24 @@ def test_every_family_places_a_generic_instance(kind):
 
 def test_element_to_object_checks_the_color():
     # the Z3 table's element is {0,1}-biunitary in (3,+), not a Hadamard element
-    z3 = sp.from_latin(sp.LatinSquare(np.array(sp.cyclic_table(3))))
-    f2 = sp.from_hadamard(sp.fourier_hadamard(2))
+    z3 = sp.LatinSquare(np.array(sp.cyclic_table(3))).to_element()
+    f2 = sp.fourier_hadamard(2).to_element()
     with pytest.raises(ValueError, match=r"of \(2,\+\), got \(3,\+\)"):
-        sp.to_hadamard(z3)
+        sp.HadamardMatrix.from_element(z3)
     with pytest.raises(ValueError, match=r"of \(3,\+\), got \(2,\+\)"):
-        sp.to_qls(f2)
+        sp.QuantumLatinSquare.from_element(f2)
     with pytest.raises(ValueError, match=r"of \(4,\+\), got \(3,\+\)"):
-        sp.to_biunitary_matrix(z3)
+        sp.BiunitaryMatrix.from_element(z3)
     with pytest.raises(ValueError, match=r"\(4,\+\), got \(3,\+\)"):
-        sp.to_ueb(z3)
+        sp.UnitaryErrorBasis.from_element(z3)
+
+
+def test_latin_square_reads_back_as_its_qls():
+    u = latin5().to_element()
+    with pytest.raises(ValueError, match="QuantumLatinSquare.from_element"):
+        sp.LatinSquare.from_element(u)
+    q = sp.QuantumLatinSquare.from_element(u)
+    assert np.array_equal(q.vectors, sp.latin_to_qls(latin5()).vectors)
 
 
 def test_block_transpose():
@@ -261,16 +270,16 @@ def test_block_transpose():
 
 def test_converters_reject_invalid_objects():
     with pytest.raises(sp.QitValidationError):
-        sp.from_hadamard(sp.HadamardMatrix(np.ones((3, 3))))
+        sp.HadamardMatrix(np.ones((3, 3))).to_element()
     with pytest.raises(sp.QitValidationError):
-        sp.to_hadamard(sp.unit(sp.SpinContext(2), sp.SpinColor(2, sp.PLUS)))
+        sp.HadamardMatrix.from_element(sp.unit(sp.SpinContext(2), sp.SpinColor(2, sp.PLUS)))
 
 
-def test_group_table_to_latin_to_element(ctx3):
+def test_group_table_to_latin_to_element():
     # a cyclic table is a Latin square; its element is the group element
     rows = np.array(sp.cyclic_table(3))
-    u_latin = sp.from_latin(sp.LatinSquare(rows))
-    u_group = sp.group_element(ctx3, sp.cyclic_table(3))
+    u_latin = sp.LatinSquare(rows).to_element()
+    u_group = sp.group_element(sp.cyclic_table(3))
     assert sp.coeff_distance(u_latin, u_group) == 0.0
 
 
@@ -302,7 +311,7 @@ def test_qit_json_parse_errors():
 
 
 def test_element_json_round_trip():
-    u = sp.from_latin(latin5())
+    u = latin5().to_element()
     blob = sp.element_to_json(u)
     again = sp.element_from_json(json.loads(json.dumps(blob)))
     assert sp.coeff_distance(u, again) == 0.0

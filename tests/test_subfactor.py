@@ -11,13 +11,12 @@ from conftest import haar_qls, latin5, tensor_biunitary, z3_latin
 
 
 def fourier_staircase(n=2, levels=3):
-    u = sp.from_hadamard(sp.fourier_hadamard(n))
+    u = sp.fourier_hadamard(n).to_element()
     return sp.build_staircase(u, 1, levels)
 
 
 def group_staircase(table, levels):
-    ctx = sp.SpinContext(len(table))
-    return sp.build_staircase(sp.group_element(ctx, table), 1, levels)
+    return sp.build_staircase(sp.group_element(table), 1, levels)
 
 
 def table_inverse(table):
@@ -43,11 +42,17 @@ def test_cabling_colors():
     assert cab42.ambient_color(1, minus=True) == sp.SpinColor(2, sp.PLUS)
 
 
+@pytest.mark.parametrize("ell", [0, 3])
+def test_cabling_needs_a_step_inside_the_width(ell):
+    with pytest.raises(ValueError, match="need 0 < ell < k"):
+        CablingData(3, ell)
+
+
 def test_staircase_base_cases(ctx2):
     stair = fourier_staircase(2, 2)
     want0 = sp.unit(ctx2, sp.SpinColor(1, sp.PLUS))
     assert sp.coeff_distance(stair.element(0), want0) == 0.0
-    u = sp.from_hadamard(sp.fourier_hadamard(2))
+    u = sp.fourier_hadamard(2).to_element()
     assert sp.coeff_distance(stair.element(1), u) == 0.0
     want0m = sp.unit(ctx2, sp.SpinColor(1, sp.MINUS))
     assert sp.coeff_distance(stair.element(0, minus=True), want0m) == 0.0
@@ -95,6 +100,11 @@ def test_staircase_rejects_bad_input(ctx2):
     # check=False skips the gate
     stair = sp.build_staircase(not_biunitary, 1, 1, check=False)
     assert stair.level == 1
+    # the level is refused before the certificate is run
+    with pytest.raises(ValueError, match="max_level must be nonnegative"):
+        sp.build_staircase(not_biunitary, 1, -1)
+    with pytest.raises(ValueError, match="max_level must be nonnegative"):
+        sp.build_staircase(sp.fourier_hadamard(2).to_element(), 1, -1)
 
 
 def test_staircase_level_bounds():
@@ -148,9 +158,9 @@ def test_left_projection_is_conditional_expectation(rng):
 
 CABLING_CASES = {
     "fourier3 k=2 l=1": lambda: fourier_staircase(3, 2),
-    "latin5 qls k=3 l=1": lambda: sp.build_staircase(sp.from_latin(latin5()), 1, 2),
+    "latin5 qls k=3 l=1": lambda: sp.build_staircase(latin5().to_element(), 1, 2),
     "S3 table k=3 l=1": lambda: group_staircase(sp.s3_table(), 2),
-    "A(x)B k=4 l=2": lambda: sp.build_staircase(sp.from_biunitary_matrix(tensor_biunitary(2)),
+    "A(x)B k=4 l=2": lambda: sp.build_staircase(tensor_biunitary(2).to_element(),
                                                 2, 2),
 }
 
@@ -222,14 +232,14 @@ def test_orbit_sums_lie_in_kernel():
     stair = group_staircase(table, 2)
     op = sp.membership_operator(stair, 2)
     for top, bottom in sp.orbit_representatives(table, 1):
-        s = sp.orbit_sum(stair.ctx, table, top, bottom)
+        s = sp.orbit_sum(table, top, bottom)
         v = sp.vectorize(s)
         assert np.linalg.norm(op.matrix @ v) / np.linalg.norm(v) < 1e-10
 
 
 def test_tensor_biunitary_level_one_is_full():
     b = tensor_biunitary(2)
-    u = sp.from_biunitary_matrix(b)
+    u = b.to_element()
     stair = sp.build_staircase(u, 2, 1)
     r = sp.q_level(stair, 1)
     assert r.dim == 4
@@ -238,7 +248,7 @@ def test_tensor_biunitary_level_one_is_full():
 
 
 def test_latin_square_level_one_dim():
-    u = sp.from_latin(latin5())
+    u = latin5().to_element()
     stair = sp.build_staircase(u, 1, 1)
     assert sp.q_level(stair, 1).dim == 1
 
@@ -252,8 +262,8 @@ def tower_dims(u, levels=3):
 def test_dense_qls_has_the_tower_of_its_latin_square(make, seed, dims):
     # turning every vector by one unitary leaves the tower as it is
     square = make()
-    assert tower_dims(sp.from_qls(haar_qls(square, seed))) == dims
-    assert tower_dims(sp.from_latin(square)) == dims
+    assert tower_dims(haar_qls(square, seed).to_element()) == dims
+    assert tower_dims(square.to_element()) == dims
 
 
 def f4q(q):
@@ -268,8 +278,8 @@ def test_qls_of_row_quotients_has_the_tower_of_its_hadamard(h, dims):
     # xi_ij = H_i / H_j / sqrt(n), the rows of H divided entrywise
     n = h.shape[0]
     q = sp.QuantumLatinSquare(h[:, None, :] / h[None, :, :] / np.sqrt(n))
-    assert tower_dims(sp.from_qls(q)) == dims
-    assert tower_dims(sp.from_hadamard(sp.HadamardMatrix(h))) == dims
+    assert tower_dims(q.to_element()) == dims
+    assert tower_dims(sp.HadamardMatrix(h).to_element()) == dims
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +300,7 @@ def test_partner_of_orbit_sum_is_orbit_sum():
     table = sp.cyclic_table(3)
     stair = group_staircase(table, 2)
     for top, bottom in sp.orbit_representatives(table, 1):
-        s = sp.orbit_sum(stair.ctx, table, top, bottom)
+        s = sp.orbit_sum(table, top, bottom)
         y = sp.extract_partner_y(stair, 2, s)
         vals = sorted(abs(c) for c in y.coeffs.values())
         assert all(abs(v - 1.0) < 1e-9 for v in vals)
@@ -366,3 +376,10 @@ def test_group_oracle_agrees_with_tower():
     for s in oracle.orbit_sums(2):
         v = sp.vectorize(s)
         assert np.linalg.norm(op.matrix @ v) / np.linalg.norm(v) < 1e-10
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_orbit_sums_need_an_even_positive_level(level):
+    oracle = sp.group_oracle(sp.cyclic_table(2), 2)
+    with pytest.raises(ValueError, match="even levels >= 2"):
+        oracle.orbit_sums(level)

@@ -3,8 +3,13 @@
 import ast
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+import spinplanar as sp
+from spinplanar import cli
 
 TESTS = Path(__file__).parent
 README = TESTS.parent / "README.md"
@@ -33,3 +38,17 @@ def test_readme_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == ["True", "[1, 1, 3, 9, 27]"]
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # the README's commands are run as written, in a directory holding the
+    # file they name, so they cannot drift from the command line
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["spinplanar", c] for c in ("check", "convert", "qdims", "group", "selftest")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fourier4.json").write_text(json.dumps(sp.qit_to_json(sp.fourier_hadamard(4))))
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
