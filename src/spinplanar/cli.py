@@ -18,7 +18,8 @@ kernel tower of a group table against its closed-form predictions.
 selftest runs the randomized relation suite of the algebra itself.
 
 Exit codes: 0 success / verdict true; 1 verdict false or failed check;
-2 input error; 3 resource refusal.
+2 input error; 3 resource refusal; 4 ambiguous spectrum (qdims and group
+refuse a level whose gap is below numerics.MIN_GAP).
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import numpy as np
 from . import groups, qit, selftest, subfactor
 from .core import coeff_distance, mult
 from .groups import GroupValidationError
-from .numerics import worst
+from .numerics import MIN_GAP, worst
 from .qit import QitParseError, QitValidationError
 
 EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_AMBIGUOUS = 4
 
 DEFAULT_CAP = 50_000
 
@@ -97,6 +99,16 @@ def _check_cap(n: int, k: int, ell: int, max_level: int, cap: int) -> str | None
     return None
 
 
+def _ambiguous(rows) -> str | None:
+    for r in rows:
+        if r.gap < MIN_GAP:
+            level = f"{r.level}-" if r.minus else str(r.level)
+            return (f"level {level} has gap {r.gap:.2e}, below {MIN_GAP:g}: the singular "
+                    f"values near the threshold do not separate, so its dimension "
+                    f"{r.dim} is not determined")
+    return None
+
+
 def _dims_payload(tower, zero_minus) -> dict:
     def row(r):
         return {"m": r.level, "dim": r.dim, "residual": r.residual,
@@ -142,6 +154,10 @@ def cmd_qdims(args) -> int:
     stair = subfactor.build_staircase(u, ell, args.max_level, args.tol, check=False)
     tower = subfactor.q_tower(stair, args.max_level)
     zero_minus = subfactor.q_zero_minus(stair)
+    refusal = _ambiguous(tower + [zero_minus])
+    if refusal:
+        print(f"ambiguous spectrum: {refusal}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
     payload = _dims_payload(tower, zero_minus)
     payload.update({"kind": obj.kind, "n": u.ctx.N, "k": u.color.width, "ell": ell})
     lines = [f"kind: {obj.name} (n={u.ctx.N}, k={u.color.width}, l={ell})",
@@ -177,6 +193,10 @@ def cmd_group(args) -> int:
         return EXIT_RESOURCE
     stair = subfactor.build_staircase(u, ell, args.max_level, args.tol)
     tower = subfactor.q_tower(stair, args.max_level)
+    refusal = _ambiguous(tower)
+    if refusal:
+        print(f"ambiguous spectrum: {refusal}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
     computed = [r.dim for r in tower]
     checks: dict[str, float] = {}
     # exact multiplicativity of the width-2 family

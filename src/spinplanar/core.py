@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -355,19 +356,40 @@ def basis_position(ctx: SpinContext, color: SpinColor) -> dict:
 
 
 def vectorize(x: SpinElement) -> np.ndarray:
-    pos = basis_position(x.ctx, x.color)
+    """The coefficient vector of x in basis order, built in bulk: all positions
+    and all values are gathered at once and placed by one fancy-index
+    assignment.  A term whose index is not a basis index of x's color raises
+    KeyError.
+
+    A dense element keyed by the basis order itself, as `devectorize` builds
+    it, is read off without any index lookup.
+    """
+    order, pos = _basis_order(x.ctx.N, x.color)
+    n = len(x.coeffs)
+    if n == len(order) and all(map(operator.is_, x.coeffs, order)):
+        return np.fromiter(x.coeffs.values(), complex, n)
     v = np.zeros(len(pos), dtype=complex)
-    for idx, c in x.coeffs.items():
-        v[pos[idx]] = c
+    v[np.fromiter(map(pos.__getitem__, x.coeffs), np.intp, n)] = \
+        np.fromiter(x.coeffs.values(), complex, n)
     return v
 
 
 def devectorize(ctx: SpinContext, color: SpinColor, v: np.ndarray) -> SpinElement:
+    """The element with coefficient vector v, built in bulk from the nonzero
+    entries.  Keys are the basis order's own `SpinIndex` objects, in
+    ascending basis order, so `vectorize` reads a dense result back without
+    any index lookup; values are Python complex.  Exact zeros (also -0.0)
+    are dropped and NaN is kept.  A vector whose length is not the color's
+    dimension raises ValueError.
+    """
     order = basis_order(ctx, color)
     if len(v) != len(order):
         raise ValueError(f"vector length {len(v)} does not match dim {len(order)} of {color}")
-    coeffs = {order[i]: complex(v[i]) for i in np.nonzero(v)[0]}
-    return SpinElement(ctx, color, coeffs)
+    nz = np.flatnonzero(v)
+    keys, values = order, v
+    if len(nz) < len(order):
+        keys, values = map(order.__getitem__, nz.tolist()), v[nz]
+    return SpinElement(ctx, color, dict(zip(keys, values.astype(complex).tolist())))
 
 
 def basis_weight(ctx: SpinContext, color: SpinColor) -> float:

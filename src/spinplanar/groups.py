@@ -35,7 +35,11 @@ def validate_group(table) -> int:
     Returns the identity element.  Raises GroupValidationError naming the
     violated axiom (closure, identity, associativity, inverses).
     """
-    rows = [list(r) for r in table]
+    try:
+        rows = [list(r) for r in table]
+    except TypeError:
+        raise GroupValidationError("closure", "a table is a sequence of rows, "
+                                   "each a sequence of entries") from None
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise GroupValidationError("closure", f"table must be square, got {n} rows")

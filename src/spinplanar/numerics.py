@@ -20,6 +20,11 @@ import numpy as np
 import scipy.linalg
 
 DEFAULT_REL_TOL = 1e-8
+# Below this gap (see KernelResult) the threshold cuts through a cluster of
+# singular values, so the count below it is no dimension: `qdims` and
+# `group` refuse such a level (exit 4).  For scale, F4(q) at q = i e^(i 1e-7)
+# separates by 1.8e6 and the benchmark inputs by 5.8e11 or more.
+MIN_GAP = 1e3
 
 
 def as_matrix(a) -> np.ndarray:

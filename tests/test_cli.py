@@ -187,6 +187,44 @@ def test_qdims_cap_refusal(files, capsys):
     assert "--max-level" in err or "--cap" in err
 
 
+def _f4q(tmp_path, eps):
+    q = 1j * np.exp(1j * eps)
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, q, -1, -q], [1, -q, -1, q]])
+    path = tmp_path / "f4q.json"
+    path.write_text(json.dumps(sp.qit_to_json(sp.HadamardMatrix(h))))
+    return str(path)
+
+
+def test_qdims_refuses_a_spectrum_that_does_not_separate(tmp_path, capsys):
+    # F4(q) at q = i e^{i eps}: at eps = 1e-8 the threshold cuts through a
+    # cluster of singular values near 1e-8 and level 3 would read 13, a
+    # dimension of neither the generic tower nor the q = i one
+    code, out, err = run(capsys, "qdims", "--input", _f4q(tmp_path, 1e-8),
+                         "--max-level", "3", "--format", "json")
+    assert code == cli.EXIT_AMBIGUOUS == 4
+    assert out == ""
+    assert "ambiguous spectrum: level 3 has gap" in err
+    assert f"below {cli.MIN_GAP:g}" in err
+
+
+def test_qdims_keeps_a_spectrum_that_separates(tmp_path, capsys):
+    code, out, _ = run(capsys, "qdims", "--input", _f4q(tmp_path, 1e-7),
+                       "--max-level", "3", "--format", "json")
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    assert [row["dim"] for row in levels] == [1, 1, 3, 10]
+    assert min(row["gap"] for row in levels if row["gap"] is not None) > 1e6
+
+
+def test_group_refuses_a_spectrum_that_does_not_separate(capsys, monkeypatch):
+    # group tables are exact, so only a raised bound makes a gap too small
+    monkeypatch.setattr(cli, "MIN_GAP", float("inf"))
+    code, out, err = run(capsys, "group", "--name", "Z2", "--max-level", "2")
+    assert code == 4
+    assert out == ""
+    assert "ambiguous spectrum: level 1 has gap" in err
+
+
 def test_qdims_invalid_object(files, capsys):
     code, _, err = run(capsys, "qdims", "--input", files["allones"])
     assert code == 1

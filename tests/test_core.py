@@ -191,13 +191,47 @@ def test_trace_faithful_positive(ctx3, rng):
             assert abs(sp.inner_product(x, x) - v) < 1e-12
 
 
-def test_vectorize_round_trip(ctx3, rng):
-    c = sp.SpinColor(3, sp.PLUS)
-    x = sp.random_element(ctx3, c, rng)
+ROUND_TRIP_COLORS = [sp.SpinColor(0, sp.PLUS), sp.SpinColor(0, sp.MINUS)] + [
+    sp.SpinColor(k, sh) for k in (1, 3, 4) for sh in (sp.PLUS, sp.MINUS)]
+
+
+@pytest.mark.parametrize("density", [1.0, 0.4], ids=["dense", "sparse"])
+@pytest.mark.parametrize("color", ROUND_TRIP_COLORS, ids=repr)
+def test_vectorize_round_trip(ctx3, rng, color, density):
+    # the bulk conversions against a plain per-term loop, bit for bit
+    x = _sparse_element(ctx3, color, rng, density)
+    order = sp.basis_order(ctx3, color)
+    pos = {idx: i for i, idx in enumerate(order)}
+    want = np.zeros(len(order), dtype=complex)
+    for idx, c in x.terms():
+        want[pos[idx]] = c
     v = sp.vectorize(x)
-    assert v.shape == (27,)
-    y = sp.devectorize(ctx3, c, v)
-    assert sp.coeff_distance(x, y) == 0.0
+    assert v.dtype == complex and v.tobytes() == want.tobytes()
+    # the same terms keyed by fresh equal indices, or in reverse order
+    for coeffs in ({sp.SpinIndex(*idx): c for idx, c in x.terms()},
+                   dict(reversed(x.coeffs.items()))):
+        assert sp.vectorize(sp.SpinElement(ctx3, color, coeffs)).tobytes() == want.tobytes()
+
+    y = sp.devectorize(ctx3, color, v)
+    assert list(y.coeffs) == [idx for idx in order if idx in x.coeffs]
+    assert all(type(c) is complex for c in y.coeffs.values())
+    assert y.coeffs == x.coeffs
+
+    # exact zeros of either sign are dropped, NaN is kept
+    specials = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex("nan")]
+    w = v.copy()
+    w[:len(specials)] = specials[:len(w)]
+    z = sp.devectorize(ctx3, color, w)
+    assert list(z.coeffs) == [order[i] for i in range(len(w)) if w[i] != 0]
+    assert [np.isnan(c) for c in z.coeffs.values()] == [bool(np.isnan(c)) for c in w if c != 0]
+
+    with pytest.raises(ValueError, match="does not match dim"):
+        sp.devectorize(ctx3, color, np.zeros(len(order) + 1))
+    # a foreign index (spin 4 at N = 3), also in place of a dense term
+    foreign = dict(list(x.terms())[:-1])
+    foreign[sp.spin_state(4)] = 1.0
+    with pytest.raises(KeyError):
+        sp.vectorize(sp.SpinElement(ctx3, color, foreign))
 
 
 def test_gram_is_uniform_diagonal(ctx2):

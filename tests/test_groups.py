@@ -32,6 +32,15 @@ def test_axiom_violations_are_named():
         sp.validate_group([[1, 2, 3], [2, 2, 2], [3, 2, 3]])
     assert err.value.axiom == "inverses"
 
+    # rows that are not sequences fail closure, in the library as in the CLI
+    for table in ([1, 2], 5):
+        with pytest.raises(sp.GroupValidationError) as err:
+            sp.validate_group(table)
+        assert err.value.axiom == "closure"
+    with pytest.raises(sp.GroupValidationError) as err:
+        sp.group_oracle([1, 2], 2)
+    assert err.value.axiom == "closure"
+
     # JSON true is not the element 1, although bool is an int subclass
     with pytest.raises(sp.GroupValidationError) as err:
         sp.validate_group([[True]])

@@ -52,3 +52,19 @@ def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
     (tmp_path / "fourier4.json").write_text(json.dumps(sp.qit_to_json(sp.fourier_hadamard(4))))
     for argv in commands:
         assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def _exit_codes(text: str) -> list[int]:
+    # the codes listed in the "Exit codes:" sentence, as "<code> <meaning>"
+    # entries separated by commas or semicolons
+    sentence = re.search(r"Exit codes:(.*?)\.(?:\s|$)", text, re.S).group(1)
+    return [int(c) for c in re.findall(r"(?:^|[,;])\s*(\d+)\s+[a-z]", sentence)]
+
+
+def test_exit_codes_are_documented():
+    # every cli.EXIT_* constant appears with its value, once, in the README
+    # and in the module docstring, so a new exit code cannot drift from them
+    codes = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+    assert codes == list(range(len(codes)))
+    assert _exit_codes(README.read_text()) == codes
+    assert _exit_codes(cli.__doc__) == codes
