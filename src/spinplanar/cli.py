@@ -141,17 +141,11 @@ def cmd_qdims(args) -> int:
               "(hadamard, latin, qls, biunitary)", file=sys.stderr)
         return EXIT_INPUT
     u, ell = obj.to_element(args.tol), obj.ell
-    cert = obj.certificate(u, args.tol)
-    if not cert.verdict:
-        print(f"certificate {cert.kind} failed:", file=sys.stderr)
-        for line in _residual_lines(cert.residuals):
-            print(line, file=sys.stderr)
-        return EXIT_FALSE
     refusal = _check_cap(u.ctx.N, u.color.width, ell, args.max_level, args.cap)
     if refusal:
         print(f"resource refusal: {refusal}", file=sys.stderr)
         return EXIT_RESOURCE
-    stair = subfactor.build_staircase(u, ell, args.max_level, args.tol, check=False)
+    stair = subfactor.build_staircase(u, ell, args.max_level, args.tol)
     tower = subfactor.q_tower(stair, args.max_level)
     zero_minus = subfactor.q_zero_minus(stair)
     refusal = _ambiguous(tower + [zero_minus])

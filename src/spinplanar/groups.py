@@ -119,7 +119,7 @@ def x_element(table, g: int) -> SpinElement:
         raise ValueError(f"group element {g} outside 1..{n}")
     coeffs = {SpinIndex(None, (q,), (table[q - 1][g - 1],), None): 1.0 + 0j
               for q in range(1, n + 1)}
-    return from_coeffs(SpinContext(n), SpinColor(2, PLUS), coeffs, validate=False)
+    return from_coeffs(SpinContext(n), SpinColor(2, PLUS), coeffs)
 
 
 def orbit_representatives(table, half_width: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -154,7 +154,7 @@ def orbit_sum(table, top: tuple[int, ...], bottom: tuple[int, ...]) -> SpinEleme
                         tuple(table[g - 1][t - 1] for t in top),
                         tuple(table[g - 1][b - 1] for b in bottom), None)
         coeffs[idx] = coeffs.get(idx, 0.0) + 1.0
-    return from_coeffs(SpinContext(n), SpinColor(2 * m, PLUS), coeffs, validate=False)
+    return from_coeffs(SpinContext(n), SpinColor(2 * m, PLUS), coeffs)
 
 
 def predicted_group_dims(n: int, max_level: int) -> list[int]:

@@ -1,15 +1,17 @@
 """Dense complex linear algebra helpers.
 
 Thin wrappers around numpy/scipy: singular values, deterministic kernel
-extraction with a relative singular-value threshold, and operator-norm
-defects.  Everything is double precision; inputs are validated to be finite.
-Singular value decompositions use one fixed LAPACK driver ('gesvd') so that
-reported dimensions are reproducible.  A kernel is computed from the rows of
-the matrix that are not exactly zero, copied once in Fortran order; when they
-are more than the columns, gesvd runs on the triangular factor R of a
-Householder QR ('geqrf') of that copy, factored in place.  Zero rows and the
-QR leave a^H a unchanged, so the singular values (up to zeros) and the right
-singular vectors are those of the matrix as given.
+extraction with a relative singular-value threshold, and the unitarity
+defect ||a a* - 1|| that the certificates and the family validators share.
+Everything is double precision; inputs are validated to be finite.
+Singular values and kernels use one fixed LAPACK driver ('gesvd') so that
+reported dimensions are reproducible; the unitarity defect of a stack of
+matrices takes its norms from numpy's batched SVD.  A kernel is computed from
+the rows of the matrix that are not exactly zero, copied once in Fortran
+order; when they are more than the columns, gesvd runs on the triangular
+factor R of a Householder QR ('geqrf') of that copy, factored in place.  Zero
+rows and the QR leave a^H a unchanged, so the singular values (up to zeros)
+and the right singular vectors are those of the matrix as given.
 """
 
 from __future__ import annotations
@@ -36,14 +38,6 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def subtract_identity(a) -> np.ndarray:
-    m = as_matrix(a).copy()
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"subtract_identity needs a square matrix, got {m.shape}")
-    m[np.diag_indices_from(m)] -= 1.0
-    return m
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values in nonincreasing order (empty input allowed)."""
     m = as_matrix(a)
@@ -57,9 +51,18 @@ def operator_norm(a) -> float:
     return float(s[0]) if len(s) else 0.0
 
 
-def operator_norm_defect(a) -> float:
-    """Largest singular value of a - I."""
-    return operator_norm(subtract_identity(a))
+def unitary_defect(a) -> float:
+    """The unitarity defect ||a a* - 1|| of a square matrix, or the largest
+    over a stack of them (shape (..., n, n)): the largest singular value of
+    a a* - 1, from one batched SVD."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    gram = a @ np.swapaxes(a, -1, -2).conj()
+    gram -= np.eye(a.shape[-1])
+    return float(np.max(np.linalg.norm(gram, 2, axis=(-2, -1))))
 
 
 def worst(residuals) -> float:

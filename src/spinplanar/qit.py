@@ -32,9 +32,16 @@ conversion, JSON interchange and the command line all read:
 
 Each class docstring states its placement formula.  A Latin square, and so
 a group table, is placed as its quantum Latin square image.  Index placement
-is load-bearing and covered by regression tests.  Certificates carry named
-residuals; a rejection names the violated identity through its residual key
-rather than by prose.
+is load-bearing and covered by regression tests.
+
+Every certificate is one rule: u is biunitary for a pair of tangles when both
+images of u are unitary.  The {0,l} certificate (`is_biunitary`) takes the
+pair u, rot^l(u); the unitary error basis certificate (`is_ueb_biunitary`)
+takes swap(u), rot(u).  Each image t contributes the residuals tt*-1 and
+t*t-1, so a rejection names the violated identity through its residual key
+rather than by prose.  The certificates, and the validators of quantum
+Latin squares, biunitary matrices and unitary error bases, measure unitarity
+by one defect, `numerics.unitary_defect`.
 """
 
 from __future__ import annotations
@@ -175,16 +182,9 @@ class QuantumLatinSquare(QitObject):
     vectors: np.ndarray
 
     def defects(self) -> dict[str, float]:
-        n = self.n
-        eye = np.eye(n)
-        row = 0.0
-        col = 0.0
-        for i in range(n):
-            vs = self.vectors[i, :, :]  # row i: vectors indexed by column j
-            row = max(row, numerics.operator_norm(vs @ vs.conj().T - eye))
-            ws = self.vectors[:, i, :]  # column i: vectors indexed by row
-            col = max(col, numerics.operator_norm(ws @ ws.conj().T - eye))
-        return {"row-orthonormality": row, "column-orthonormality": col}
+        # vectors[i] holds row i's vectors, vectors[:, j] column j's
+        return {"row-orthonormality": numerics.unitary_defect(self.vectors),
+                "column-orthonormality": numerics.unitary_defect(self.vectors.swapaxes(0, 1))}
 
 
 @dataclass
@@ -198,15 +198,12 @@ class LatinSquare(QitObject):
     rows: np.ndarray
 
     def defects(self) -> dict[str, float]:
-        n = self.n
-        symbols = set(range(1, n + 1))
-        out_of_range = int(np.sum((self.rows < 1) | (self.rows > n)))
-        bad_rows = sum(1 for r in self.rows if set(int(v) for v in r) != symbols)
-        bad_cols = sum(1 for c in self.rows.T if set(int(v) for v in c) != symbols)
+        # a row or column holds each symbol once exactly when it sorts to 1..n
+        rows, symbols = self.rows, np.arange(1, self.n + 1)
         return {
-            "symbol-range": float(out_of_range),
-            "row-multiplicity": float(bad_rows),
-            "column-multiplicity": float(bad_cols),
+            "symbol-range": float(np.sum((rows < 1) | (rows > self.n))),
+            "row-multiplicity": float(np.sum(np.any(np.sort(rows, 1) != symbols, 1))),
+            "column-multiplicity": float(np.sum(np.any(np.sort(rows, 0).T != symbols, 1))),
         }
 
     def coefficients(self) -> np.ndarray:
@@ -235,13 +232,9 @@ class BiunitaryMatrix(QitObject):
     entries: np.ndarray
 
     def defects(self) -> dict[str, float]:
-        u = self.entries
-        v = block_transpose(u, self.n)
-        eye = np.eye(self.n * self.n)
-        return {
-            "unitarity": numerics.operator_norm(u @ u.conj().T - eye),
-            "block-transpose-unitarity": numerics.operator_norm(v @ v.conj().T - eye),
-        }
+        return {"unitarity": numerics.unitary_defect(self.entries),
+                "block-transpose-unitarity":
+                    numerics.unitary_defect(block_transpose(self.entries, self.n))}
 
 
 @dataclass
@@ -257,15 +250,12 @@ class UnitaryErrorBasis(QitObject):
     matrices: np.ndarray
 
     def defects(self) -> dict[str, float]:
+        # the rows of the flattened matrices over sqrt(n) are orthonormal
+        # exactly when the basis is
         n = self.n
-        eye = np.eye(n)
-        unit = max(numerics.operator_norm(b @ b.conj().T - eye) for b in self.matrices)
-        flat = self.matrices.reshape(n * n, n * n)
-        gram = flat @ flat.conj().T / n
-        return {
-            "unitarity": unit,
-            "pairwise-orthonormality": numerics.operator_norm(gram - np.eye(n * n)),
-        }
+        return {"unitarity": numerics.unitary_defect(self.matrices),
+                "pairwise-orthonormality":
+                    numerics.unitary_defect(self.matrices.reshape(n * n, n * n) / n ** 0.5)}
 
 
 FAMILIES: dict[str, type[QitObject]] = {
@@ -293,40 +283,30 @@ class BiunitaryCertificate:
         return max(self.residuals.values(), default=0.0)
 
 
-def _certify(kind: str, residuals: dict[str, float], tol: float) -> BiunitaryCertificate:
+def _certify(kind: str, images: dict[str, SpinElement], tol: float) -> BiunitaryCertificate:
+    """The one certificate rule: each named tangle image t of u is unitary,
+    with the residuals of tt*-1 and t*t-1 named after it."""
+    residuals = {}
+    for t, x in images.items():
+        res = unitarity_residuals(x)
+        residuals[f"{t}{t}*-1"] = res["xx*-1"]
+        residuals[f"{t}*{t}-1"] = res["x*x-1"]
     return BiunitaryCertificate(kind, residuals,
                                 all(v <= tol for v in residuals.values()), tol)
 
 
 def is_biunitary(u: SpinElement, ell: int, tol: float = DEFAULT_TOL) -> BiunitaryCertificate:
     """Certificate that u and its ell-fold rotation are both unitary."""
-    k = u.color.width
-    if not 0 < ell < k:
+    if not 0 < ell < u.color.width:
         raise ValueError(f"need 0 < ell < width, got ell={ell} at color {u.color}")
-    res_u = unitarity_residuals(u)
-    res_r = unitarity_residuals(rotate_pow(u, ell))
-    residuals = {
-        "uu*-1": res_u["xx*-1"],
-        "u*u-1": res_u["x*x-1"],
-        "rot(u)rot(u)*-1": res_r["xx*-1"],
-        "rot(u)*rot(u)-1": res_r["x*x-1"],
-    }
-    return _certify(f"{{0,{ell}}}", residuals, tol)
+    return _certify(f"{{0,{ell}}}", {"u": u, "rot(u)": rotate_pow(u, ell)}, tol)
 
 
 def is_ueb_biunitary(u: SpinElement, tol: float = DEFAULT_TOL) -> BiunitaryCertificate:
     """Certificate that partial_swap(u) and rotate(u) are both unitary ((4,+) only)."""
     if u.color != SpinColor(4, PLUS):
         raise ValueError(f"the swap/rotation certificate is defined on (4,+), got {u.color}")
-    res_a = unitarity_residuals(partial_swap(u))
-    res_r = unitarity_residuals(rotate(u))
-    residuals = {
-        "swap(u)swap(u)*-1": res_a["xx*-1"],
-        "swap(u)*swap(u)-1": res_a["x*x-1"],
-        "rot(u)rot(u)*-1": res_r["xx*-1"],
-        "rot(u)*rot(u)-1": res_r["x*x-1"],
-    }
-    return _certify("{A,R(4,+)}", residuals, tol)
+    return _certify("{A,R(4,+)}", {"swap(u)": partial_swap(u), "rot(u)": rotate(u)}, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -98,23 +98,22 @@ class Staircase:
 
 
 def build_staircase(u: SpinElement, ell: int, max_level: int,
-                    tol: float = qit.DEFAULT_TOL, check: bool = True) -> Staircase:
+                    tol: float = qit.DEFAULT_TOL) -> Staircase:
     """Build u_(0,+) .. u_(max_level,+) by the alternating-product recursion.
 
     u_(0,+) is the unit of color (k-l, eps), u_(1,+) = u, and
     u_(m+1,+) = mult(incl_right^l(u_(m,+)), incl_left^{m*l}(v)) where v
     alternates between u (odd levels) and rotate_pow(star(u), -l) (even
-    levels).  With check=True the biunitarity certificate is required to
-    pass first, since every staircase element inherits unitarity from it.
+    levels).  Every staircase element inherits unitarity from the {0,l}
+    biunitarity certificate of u, so u must pass it first: a failure raises
+    QitValidationError naming the certificate and its residuals.
     """
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
     cab = CablingData(u.color.width, ell, u.color.shading)
-    if check:
-        cert = qit.is_biunitary(u, ell, tol)
-        if not cert.verdict:
-            listing = ", ".join(f"{k}={v:.3g}" for k, v in cert.residuals.items())
-            raise ValueError(f"input fails the {cert.kind} biunitarity certificate: {listing}")
+    cert = qit.is_biunitary(u, ell, tol)
+    if not cert.verdict:
+        raise qit.QitValidationError(f"{cert.kind}-biunitarity certificate", cert.residuals)
     ctx = u.ctx
     elements = [unit(ctx, SpinColor(cab.depth, cab.shading))]
     back = rotate_pow(star(u), -ell)

@@ -216,6 +216,26 @@ def test_qdims_keeps_a_spectrum_that_separates(tmp_path, capsys):
     assert min(row["gap"] for row in levels if row["gap"] is not None) > 1e6
 
 
+def test_qdims_answers_with_a_nearby_tower_or_refuses(tmp_path, capsys):
+    # F4(q) at q = i e^{i eps}, swept from the q = i tower (1, 1, 4, 16) to
+    # the generic one (1, 1, 3, 10).  A confident answer is the tower of an
+    # input within the kernel threshold of the one given: small eps reads
+    # the q = i tower, and in between the CLI may refuse (exit 4), but it
+    # never reports a third tower, and never q = i's past the generic one
+    towers = {}
+    for eps in (0, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6):
+        code, out, _ = run(capsys, "qdims", "--input", _f4q(tmp_path, eps),
+                           "--max-level", "3", "--format", "json")
+        assert code in (0, cli.EXIT_AMBIGUOUS), eps
+        if code == 0:
+            towers[eps] = tuple(row["dim"] for row in json.loads(out)["levels"])
+    special, generic = (1, 1, 4, 16), (1, 1, 3, 10)
+    assert set(towers.values()) <= {special, generic}
+    assert towers[0] == special and towers[1e-6] == generic
+    assert (max(e for e, t in towers.items() if t == special)
+            < min(e for e, t in towers.items() if t == generic))
+
+
 def test_group_refuses_a_spectrum_that_does_not_separate(capsys, monkeypatch):
     # group tables are exact, so only a raised bound makes a gap too small
     monkeypatch.setattr(cli, "MIN_GAP", float("inf"))

@@ -23,11 +23,19 @@ def test_fourier_unitarity():
     assert numerics.operator_norm(f @ f.conj().T / n - np.eye(n)) < 1e-12
 
 
-def test_subtract_identity():
-    assert numerics.operator_norm(numerics.subtract_identity(np.eye(3))) == 0.0
-    assert numerics.operator_norm_defect(2 * np.eye(4)) == pytest.approx(1.0)
+def test_unitary_defect():
+    assert numerics.unitary_defect(np.stack([np.eye(3)] * 4)) == 0.0
+    # ||(2I)(2I)* - I|| = 3
+    assert numerics.unitary_defect(2 * np.eye(4)) == pytest.approx(3.0)
+    # a stack reports its worst member
+    stack = np.stack([np.eye(2), 2 * np.eye(2), np.diag([1.0, 1j])])
+    assert numerics.unitary_defect(stack) == pytest.approx(3.0)
     with pytest.raises(ValueError):
-        numerics.subtract_identity(np.zeros((2, 3)))
+        numerics.unitary_defect(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        numerics.unitary_defect(np.ones(3))
+    with pytest.raises(ValueError):
+        numerics.unitary_defect(np.array([[np.inf, 0], [0, 1]]))
 
 
 def test_singular_values_adjoint_invariant():

@@ -79,7 +79,7 @@ def test_staircase_group_closed_forms():
         for g in range(1, n + 1):
             for h in range(1, n + 1):
                 c2[sp.SpinIndex(None, (g, inv[h]), (mul(g, h), g), None)] = 1.0 + 0j
-        want2 = sp.from_coeffs(ctx, sp.SpinColor(4, sp.PLUS), c2, validate=False)
+        want2 = sp.from_coeffs(ctx, sp.SpinColor(4, sp.PLUS), c2)
         assert sp.coeff_distance(stair.element(2), want2) < 1e-12
 
         c3 = {}
@@ -89,7 +89,7 @@ def test_staircase_group_closed_forms():
                     idx = sp.SpinIndex(None, (g, inv[h1]),
                                        (mul(g, h1), mul(g, h2)), inv[h2])
                     c3[idx] = 1.0 + 0j
-        want3 = sp.from_coeffs(ctx, sp.SpinColor(5, sp.PLUS), c3, validate=False)
+        want3 = sp.from_coeffs(ctx, sp.SpinColor(5, sp.PLUS), c3)
         assert sp.coeff_distance(stair.element(3), want3) < 1e-12
 
 
@@ -97,9 +97,6 @@ def test_staircase_rejects_bad_input(ctx2):
     not_biunitary = sp.unit(ctx2, sp.SpinColor(2, sp.PLUS))
     with pytest.raises(ValueError, match="certificate"):
         sp.build_staircase(not_biunitary, 1, 2)
-    # check=False skips the gate
-    stair = sp.build_staircase(not_biunitary, 1, 1, check=False)
-    assert stair.level == 1
     # the level is refused before the certificate is run
     with pytest.raises(ValueError, match="max_level must be nonnegative"):
         sp.build_staircase(not_biunitary, 1, -1)
@@ -280,6 +277,20 @@ def test_qls_of_row_quotients_has_the_tower_of_its_hadamard(h, dims):
     q = sp.QuantumLatinSquare(h[:, None, :] / h[None, :, :] / np.sqrt(n))
     assert tower_dims(q.to_element()) == dims
     assert tower_dims(sp.HadamardMatrix(h).to_element()) == dims
+
+
+@pytest.mark.parametrize("a, b, dims", [
+    (sp.fourier_hadamard(2).entries, sp.fourier_hadamard(3).entries, [1, 1, 6, 36]),
+    (sp.fourier_hadamard(3).entries, sp.fourier_hadamard(2).entries, [1, 1, 6, 36]),
+    (sp.fourier_hadamard(2).entries, f4q(np.exp(0.7j)), [1, 1, 6, 40]),
+], ids=["F2xF3", "F3xF2", "F2xF4(exp(0.7i))"])
+def test_tensor_product_tower_is_the_product_of_the_factor_towers(a, b, dims):
+    # Q_m(u (x) v) = Q_m(u) (x) Q_m(v), so the dimensions multiply level by level
+    def dims_of(h):
+        return tower_dims(sp.HadamardMatrix(h).to_element())
+
+    assert dims_of(np.kron(a, b)) == dims
+    assert dims == [x * y for x, y in zip(dims_of(a), dims_of(b))]
 
 
 # ---------------------------------------------------------------------------

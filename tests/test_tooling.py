@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import re
@@ -13,6 +14,7 @@ from spinplanar import cli
 
 TESTS = Path(__file__).parent
 README = TESTS.parent / "README.md"
+BENCH_RUN = TESTS.parent / "bench" / "run.py"
 
 
 def test_dense_oracle_does_not_import_the_package():
@@ -68,3 +70,36 @@ def test_exit_codes_are_documented():
     assert codes == list(range(len(codes)))
     assert _exit_codes(README.read_text()) == codes
     assert _exit_codes(cli.__doc__) == codes
+
+
+def test_benchmark_trace_targets_resolve():
+    # the benchmark times each layer by wrapping the functions its WRAPS list
+    # names; a target that stops resolving silently empties its per-layer
+    # metric.  bench/run.py is parsed, not imported: importing it sets the
+    # BLAS thread variables of this process.
+    constants, wraps = {}, []
+    for node in ast.parse(BENCH_RUN.read_text()).body:
+        if not isinstance(node, ast.Assign):
+            continue
+        target, value = node.targets[0], node.value
+        pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                 else [(target, value)])
+        for name, v in pairs:
+            if isinstance(name, ast.Name) and isinstance(v, ast.Constant):
+                constants[name.id] = v.value
+            elif isinstance(name, ast.Name) and name.id == "WRAPS":
+                wraps = v.elts
+
+    def literal(arg):
+        return constants[arg.id] if isinstance(arg, ast.Name) else arg.value
+
+    targets = [(literal(call.args[0]), literal(call.args[1])) for call in wraps]
+    assert targets
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert not missing
