@@ -201,11 +201,11 @@ def cmd_group(args) -> int:
         res = tower[level]
         sums = oracle.orbit_sums(level)
         checks[f"orbit sums in level-{level} kernel"] = worst(
-            subfactor._projection_residual(s, res) for s in sums)
+            subfactor._projection_residual(sums, res))
         checks[f"orbit count = dim at level {level}"] = float(len(sums) != res.dim)
         if level == 2:
             checks["X_g in level-2 kernel"] = worst(
-                subfactor._projection_residual(oracle.x(g), res) for g in range(1, n + 1))
+                subfactor._projection_residual((oracle.x(g) for g in range(1, n + 1)), res))
     dims_ok = computed == oracle.dims
     checks_ok = all(v <= args.tol for v in checks.values())
     verdict = dims_ok and checks_ok

@@ -385,14 +385,25 @@ class ClosureReport:
         return all(v <= self.tol for v in self.residuals.values())
 
 
-def _projection_residual(candidate: SpinElement, target: QLevelResult) -> float:
-    v = vectorize(candidate)
-    nv = float(np.linalg.norm(v))
-    if nv < 1e-13:
-        return 0.0
-    v = v / nv
+def _projection_residual(candidates, target: QLevelResult) -> np.ndarray:
+    """Distance of each normalized candidate from the span of target's kernel.
+
+    Returns one residual per candidate: ||v - B B* v|| for the candidate's
+    unit coefficient vector v, with B = target.kernel_matrix.  The candidates
+    are projected together, as the rows of one matrix (a row v^T projects to
+    v^T conj(B) B^T); each is vectorized as it arrives, so only its vector
+    outlives it.  A candidate of norm below 1e-13 reads 0, and a NaN
+    candidate reads NaN (never 0, so it cannot pass) while the other rows
+    stay finite.
+    """
+    vectors = np.array([vectorize(c) for c in candidates])
+    norms = np.linalg.norm(vectors, axis=1)
+    zero = norms < 1e-13
+    vectors /= np.where(zero, 1.0, norms)[:, None]
     b = target.kernel_matrix
-    return float(np.linalg.norm(v - b @ (b.conj().T @ v)))
+    residuals = np.linalg.norm(vectors - (vectors @ b.conj()) @ b.T, axis=1)
+    residuals[zero] = 0.0
+    return residuals
 
 
 def verify_planar_closure(results: list[QLevelResult], tol: float = 1e-9) -> ClosureReport:
@@ -400,32 +411,41 @@ def verify_planar_closure(results: list[QLevelResult], tol: float = 1e-9) -> Clo
 
     Products and rotations stay within a level, l-fold right inclusions map
     level m into level m+1, and l-fold right expectations map level m+1
-    into level m; the unit belongs to every level.  Report-only: residuals
-    are returned per closure type, not raised.
+    into level m; the unit belongs to every level.  The plus-shaded levels
+    must form one consecutive run of two or more, so that every inclusion
+    and expectation between them is checked.  Candidates are projected a
+    block at a time: the products a.b of one left factor a over the basis,
+    and each other kind once per level, so a block never holds more
+    candidates than the basis it comes from.  Report-only: the worst
+    residual per closure type is returned, not raised.
     """
     plus = {r.level: r for r in results if not r.minus}
-    if len(plus) < 2:
-        raise ValueError("need at least two consecutive computed levels")
-    ell = next(iter(plus.values())).ell
+    levels = sorted(plus)
+    if len(levels) < 2 or levels != list(range(levels[0], levels[0] + len(levels))):
+        raise ValueError(f"need two or more consecutive computed levels, got {levels}")
+    ell = plus[levels[0]].ell
     found: dict[str, list[float]] = {kind: [] for kind in (
         "unit", "product", "inclusion", "expectation", "rotation", "star")}
+
+    def check(kind, candidates, target):
+        found[kind].append(numerics.worst(_projection_residual(candidates, target)))
+
     for m, res in plus.items():
-        if res.basis:
-            found["unit"].append(_projection_residual(unit(res.basis[0].ctx,
-                                                           res.ambient_color), res))
-        for a in res.basis:
-            found["product"] += [_projection_residual(mult(a, b), res) for b in res.basis]
-            found["star"].append(_projection_residual(star(a), res))
-            if m >= 1:
-                found["rotation"].append(_projection_residual(rotate_pow(a, 2 * ell), res))
-            if m + 1 in plus:
-                found["inclusion"].append(_projection_residual(incl_right_pow(a, ell),
-                                                               plus[m + 1]))
-            if m - 1 in plus:
-                found["expectation"].append(_projection_residual(cond_right_pow(a, ell),
-                                                                 plus[m - 1]))
-    return ClosureReport(sorted(plus), {kind: numerics.worst(residuals)
-                                        for kind, residuals in found.items()}, tol)
+        basis = res.basis
+        if not basis:
+            continue
+        check("unit", [unit(basis[0].ctx, res.ambient_color)], res)
+        for a in basis:
+            check("product", (mult(a, b) for b in basis), res)
+        check("star", (star(a) for a in basis), res)
+        if m >= 1:
+            check("rotation", (rotate_pow(a, 2 * ell) for a in basis), res)
+        if m + 1 in plus:
+            check("inclusion", (incl_right_pow(a, ell) for a in basis), plus[m + 1])
+        if m - 1 in plus:
+            check("expectation", (cond_right_pow(a, ell) for a in basis), plus[m - 1])
+    return ClosureReport(levels, {kind: numerics.worst(residuals)
+                                  for kind, residuals in found.items()}, tol)
 
 
 @dataclass

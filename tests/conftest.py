@@ -55,9 +55,22 @@ def z3_latin() -> sp.LatinSquare:
     return sp.LatinSquare(np.array(sp.cyclic_table(3)))
 
 
+def hadamard_equivalent(n: int, seed: int) -> sp.HadamardMatrix:
+    """D1 P1 F_n P2 D2 with seeded phases and permutations."""
+    rng = np.random.default_rng(seed)
+    d1, d2 = (np.exp(2j * np.pi * rng.random(n)) for _ in range(2))
+    f = sp.fourier_hadamard(n).entries[np.ix_(rng.permutation(n), rng.permutation(n))]
+    return sp.HadamardMatrix(d1[:, None] * f * d2[None, :])
+
+
 def tensor_biunitary(n: int, seed: int = 11) -> sp.BiunitaryMatrix:
     """A (x) B for Haar-random unitaries A, B: always biunitary."""
     return sp.BiunitaryMatrix(np.kron(haar_unitary(n, seed), haar_unitary(n, seed + 1)))
+
+
+def tower_dims(u: sp.SpinElement, levels: int = 3) -> list[int]:
+    """Dimensions of the plus-shaded kernels of a {0,1}-biunitary, levels 0..levels."""
+    return [r.dim for r in sp.q_tower(sp.build_staircase(u, 1, levels), levels)]
 
 
 def rotation_formula(idx: sp.SpinIndex, color: sp.SpinColor, n: int):

@@ -292,7 +292,8 @@ def test_group_nan_check_fails(files, capsys, monkeypatch):
 
 
 def test_closure_nan_residual_fails(files, capsys, monkeypatch):
-    monkeypatch.setattr(sp.subfactor, "_projection_residual", lambda *a: float("nan"))
+    monkeypatch.setattr(sp.subfactor, "_projection_residual",
+                        lambda candidates, target: np.full(len(list(candidates)), np.nan))
     code, out, _ = run(capsys, "qdims", "--input", files["fourier2"],
                        "--max-level", "2", "--closure")
     assert code == 0

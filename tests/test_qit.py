@@ -8,7 +8,8 @@ import pytest
 
 import spinplanar as sp
 from spinplanar.qit import FAMILIES
-from conftest import haar_qls, haar_unitary, latin5, tensor_biunitary, z3_latin
+from conftest import (hadamard_equivalent, haar_qls, haar_unitary, latin5, tensor_biunitary,
+                      z3_latin)
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +201,10 @@ def test_ueb_round_trip_and_placement():
     assert np.max(np.abs(back.matrices - e.matrices)) < 1e-15
 
 
-def _hadamard_equivalent(n: int, seed: int) -> sp.HadamardMatrix:
-    """D1 P1 F_n P2 D2 with seeded phases and permutations."""
-    rng = np.random.default_rng(seed)
-    d1, d2 = (np.exp(2j * np.pi * rng.random(n)) for _ in range(2))
-    f = sp.fourier_hadamard(n).entries[np.ix_(rng.permutation(n), rng.permutation(n))]
-    return sp.HadamardMatrix(d1[:, None] * f * d2[None, :])
-
-
 # one instance per family, with no permutation structure outside the integer
 # family, and the reader of its element (a Latin square reads back as its QLS)
 GENERIC_INSTANCES = {
-    "hadamard": (lambda: _hadamard_equivalent(4, 38), sp.HadamardMatrix.from_element),
+    "hadamard": (lambda: hadamard_equivalent(4, 38), sp.HadamardMatrix.from_element),
     "latin": (latin5, sp.QuantumLatinSquare.from_element),
     "qls": (lambda: haar_qls(latin5(), 39), sp.QuantumLatinSquare.from_element),
     "biunitary": (lambda: tensor_biunitary(3, seed=40), sp.BiunitaryMatrix.from_element),

@@ -7,7 +7,9 @@ import pytest
 
 import spinplanar as sp
 from spinplanar.subfactor import CablingData
-from conftest import haar_qls, latin5, tensor_biunitary, z3_latin
+import oracle_hadamard as oh
+from conftest import (hadamard_equivalent, haar_qls, latin5, tensor_biunitary, tower_dims,
+                      z3_latin)
 
 
 def fourier_staircase(n=2, levels=3):
@@ -250,10 +252,6 @@ def test_latin_square_level_one_dim():
     assert sp.q_level(stair, 1).dim == 1
 
 
-def tower_dims(u, levels=3):
-    return [r.dim for r in sp.q_tower(sp.build_staircase(u, 1, levels), levels)]
-
-
 @pytest.mark.parametrize("make, seed, dims", [(z3_latin, 44, [1, 1, 3, 9]),
                                               (latin5, 45, [1, 1, 2, 5])], ids=["Z3", "latin5"])
 def test_dense_qls_has_the_tower_of_its_latin_square(make, seed, dims):
@@ -277,6 +275,17 @@ def test_qls_of_row_quotients_has_the_tower_of_its_hadamard(h, dims):
     q = sp.QuantumLatinSquare(h[:, None, :] / h[None, :, :] / np.sqrt(n))
     assert tower_dims(q.to_element()) == dims
     assert tower_dims(sp.HadamardMatrix(h).to_element()) == dims
+
+
+@pytest.mark.parametrize("h, levels", [
+    (sp.fourier_hadamard(3).entries, 4),
+    (f4q(np.exp(0.7j)), 3),
+    (np.kron(sp.fourier_hadamard(2).entries, sp.fourier_hadamard(2).entries), 3),
+    (hadamard_equivalent(4, 46).entries, 3),
+], ids=["F3", "F4(exp(0.7i))", "F2xF2", "D1P1F4P2D2"])
+def test_hadamard_tower_matches_the_closed_form_oracle(h, levels):
+    # the fixed vectors of the magic unitary's tensor powers, computed apart
+    assert tower_dims(sp.HadamardMatrix(h).to_element(), levels) == oh.tower(h, levels)
 
 
 @pytest.mark.parametrize("a, b, dims", [
@@ -373,9 +382,61 @@ def test_planar_closure_fails_on_a_nan_candidate():
 
 
 def test_planar_closure_needs_two_levels():
-    stair = fourier_staircase(2, 1)
-    with pytest.raises(ValueError):
-        sp.verify_planar_closure([sp.q_level(stair, 1)])
+    # one level, or levels with a hole, would leave inclusions and
+    # expectations unchecked and pass vacuously
+    tower = sp.q_tower(fourier_staircase(3, 3), 3)
+    for levels in ([1], [0, 2], [1, 3]):
+        with pytest.raises(ValueError, match="consecutive"):
+            sp.verify_planar_closure([tower[m] for m in levels])
+
+
+def _reference_residual(candidate, target):
+    # one candidate at a time, written from the definition
+    v = sp.vectorize(candidate)
+    if np.linalg.norm(v) < 1e-13:
+        return 0.0
+    v = v / np.linalg.norm(v)
+    b = target.kernel_matrix
+    return np.linalg.norm(v - b @ b.conj().T @ v)
+
+
+def test_projection_residual_in_off_zero_and_nan(rng):
+    # one block: a candidate in the kernel's span, one orthogonal to it, a
+    # zero, a NaN and a kernel member; the NaN stays in its own row
+    target = sp.q_level(fourier_staircase(3, 2), 2)
+    first = target.basis[0]
+    b = target.kernel_matrix
+    z = rng.normal(size=b.shape[0]) + 1j * rng.normal(size=b.shape[0])
+    on = sp.devectorize(first.ctx, first.color, b @ (b.conj().T @ z))
+    off = sp.devectorize(first.ctx, first.color, z - b @ (b.conj().T @ z))
+    zero = sp.SpinElement(first.ctx, first.color, {})
+    idx = next(iter(first.coeffs))
+    nan = sp.SpinElement(first.ctx, first.color, {**first.coeffs, idx: complex("nan")})
+    with np.errstate(invalid="ignore"):
+        residuals = sp.subfactor._projection_residual(iter([on, off, zero, nan, first]), target)
+    assert residuals.shape == (5,)
+    assert residuals[0] <= 1e-14 and residuals[4] <= 1e-14
+    assert abs(residuals[1] - 1.0) <= 1e-14
+    assert residuals[2] == 0.0
+    assert np.isnan(residuals[3])
+    assert np.isfinite(residuals[[0, 1, 2, 4]]).all()
+
+
+def test_projection_residual_matches_one_at_a_time(rng):
+    # blocks of mixed candidates: kernel members, products, random elements
+    tower = sp.q_tower(sp.build_staircase(tensor_biunitary(2).to_element(), 2, 2), 2)
+    target = tower[2]
+    color = target.ambient_color
+    candidates = list(target.basis[:5])
+    candidates += [sp.mult(a, b) for a in target.basis[:3] for b in target.basis[-3:]]
+    candidates += [sp.random_element(target.basis[0].ctx, color, rng) for _ in range(4)]
+    candidates.append(sp.SpinElement(target.basis[0].ctx, color, {}))
+    order = rng.permutation(len(candidates))
+    candidates = [candidates[i] for i in order]
+    want = [_reference_residual(c, target) for c in candidates]
+    for lo, hi in ((0, len(candidates)), (0, 1), (3, 11)):
+        got = sp.subfactor._projection_residual(candidates[lo:hi], target)
+        assert np.abs(got - want[lo:hi]).max() <= 1e-14
 
 
 def test_group_oracle_agrees_with_tower():

@@ -18,18 +18,22 @@ BENCH_RUN = TESTS.parent / "bench" / "run.py"
 
 
 def test_dense_oracle_does_not_import_the_package():
-    # the oracle is the one deliberate duplicate of the engine; importing the
-    # package (or a test module, which does) would make its checks circular
+    # the oracles are the deliberate duplicates of the engine; importing the
+    # package (or a test module, which does) would make their checks circular
     local = {p.stem for p in TESTS.glob("*.py")}
-    imported = []
-    for node in ast.walk(ast.parse((TESTS / "oracle_dense.py").read_text())):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
-    roots = {name.split(".")[0] for name in imported}
-    assert "numpy" in roots
-    assert not roots & ({"", "spinplanar"} | local), imported
+    oracles = sorted(TESTS.glob("oracle_*.py"))
+    assert {"oracle_dense.py", "oracle_hadamard.py"} <= {p.name for p in oracles}
+    for path in oracles:
+        imported = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imported.append("." * node.level + (node.module or ""))
+        roots = {name.split(".")[0] for name in imported}
+        assert "numpy" in roots, path.name
+        assert roots <= {"numpy", "scipy", "itertools", "math"}, (path.name, imported)
+        assert not roots & ({"", "spinplanar"} | local), (path.name, imported)
 
 
 def test_readme_quick_start_runs():
