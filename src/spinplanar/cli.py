@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from . import groups, qit, selftest, subfactor
-from .core import coeff_distance, mult
+from .core import coeff_distance, mult, vectorize
 from .groups import GroupValidationError
 from .numerics import MIN_GAP, worst
 from .qit import QitParseError, QitValidationError
@@ -201,11 +201,12 @@ def cmd_group(args) -> int:
         res = tower[level]
         sums = oracle.orbit_sums(level)
         checks[f"orbit sums in level-{level} kernel"] = worst(
-            subfactor._projection_residual(sums, res))
+            subfactor._projection_residual([vectorize(s) for s in sums], res))
         checks[f"orbit count = dim at level {level}"] = float(len(sums) != res.dim)
         if level == 2:
             checks["X_g in level-2 kernel"] = worst(
-                subfactor._projection_residual((oracle.x(g) for g in range(1, n + 1)), res))
+                subfactor._projection_residual(
+                    [vectorize(oracle.x(g)) for g in range(1, n + 1)], res))
     dims_ok = computed == oracle.dims
     checks_ok = all(v <= args.tol for v in checks.values())
     verdict = dims_ok and checks_ok

@@ -21,7 +21,8 @@ rule
 which makes every space a finite dimensional C*-algebra: one matrix block per
 value of the slots, with the top tuple as row and the bottom tuple as column.
 Elements are stored as sparse coefficient dicts (`SpinElement`); a product is
-computed as one batched matmul of their blocks (`mult`).
+computed as one batched matmul of their blocks (`product_vector`, which
+`mult` turns into an element).
 `basis_indices` enumerates the basis in (left, top, bottom, right) order, so
 a coefficient vector reshapes to (n_left, size, size, n_right) with
 (n_left, size, n_right) = `block_shape` (N or 1 per present or absent slot,
@@ -282,15 +283,26 @@ def star(x: SpinElement) -> SpinElement:
     return SpinElement(x.ctx, x.color, out)
 
 
+def product_vector(x: SpinElement, y: SpinElement) -> np.ndarray:
+    """The coefficient vector of mult(x, y), in basis order: the batched matmul
+    `algebra_blocks(x) @ algebra_blocks(y)`, laid back into basis order.
+
+    For callers that read vectors (the closure check): no dict is built.
+    """
+    _check_compatible("mult", x, y)
+    n_left, size, n_right = block_shape(x.ctx, x.color)
+    blocks = algebra_blocks(x) @ algebra_blocks(y)
+    return blocks.reshape(n_left, n_right, size, size).transpose(0, 2, 3, 1).reshape(-1)
+
+
 def mult(x: SpinElement, y: SpinElement) -> SpinElement:
-    """Matrix-unit multiplication, one rule for every color: the batched
-    matmul `algebra_blocks(x) @ algebra_blocks(y)`, laid back into basis order.
+    """Matrix-unit multiplication, one rule for every color: the element
+    whose coefficient vector is `product_vector(x, y)`.
 
     On (0,+) this is scalar multiplication and on (0,-) it makes the S(i) a
     family of orthogonal idempotents.
     """
-    _check_compatible("mult", x, y)
-    return _from_blocks(x.ctx, x.color, algebra_blocks(x) @ algebra_blocks(y))
+    return devectorize(x.ctx, x.color, product_vector(x, y))
 
 
 def unit(ctx: SpinContext, color: SpinColor) -> SpinElement:
@@ -423,13 +435,6 @@ def algebra_blocks(x: SpinElement) -> np.ndarray:
     n_left, size, n_right = block_shape(x.ctx, x.color)
     layout = vectorize(x).reshape(n_left, size, size, n_right)
     return layout.transpose(0, 3, 1, 2).reshape(n_left * n_right, size, size)
-
-
-def _from_blocks(ctx: SpinContext, color: SpinColor, blocks: np.ndarray) -> SpinElement:
-    """The inverse of `algebra_blocks`: blocks laid back into basis order."""
-    n_left, size, n_right = block_shape(ctx, color)
-    layout = blocks.reshape(n_left, n_right, size, size).transpose(0, 2, 3, 1)
-    return devectorize(ctx, color, layout.reshape(-1))
 
 
 def op_norm(x: SpinElement) -> float:

@@ -31,7 +31,8 @@ import numpy as np
 from . import numerics
 from .core import (MINUS, PLUS, SpinColor, SpinContext, SpinElement,
                    algebra_blocks, basis_order, basis_weight, block_shape,
-                   color_dim, mult, star, unit, vectorize, devectorize, norm)
+                   color_dim, mult, product_vector, star, unit, vectorize,
+                   devectorize, norm)
 from .ops import (cond_left_pow, cond_right_pow, incl_left_pow,
                   incl_right_pow, rotate_pow)
 from .groups import (group_element, orbit_representatives, orbit_sum,
@@ -385,18 +386,18 @@ class ClosureReport:
         return all(v <= self.tol for v in self.residuals.values())
 
 
-def _projection_residual(candidates, target: QLevelResult) -> np.ndarray:
-    """Distance of each normalized candidate from the span of target's kernel.
+def _projection_residual(vectors, target: QLevelResult) -> np.ndarray:
+    """Distance of each normalized coefficient vector from the span of
+    target's kernel.
 
-    Returns one residual per candidate: ||v - B B* v|| for the candidate's
-    unit coefficient vector v, with B = target.kernel_matrix.  The candidates
-    are projected together, as the rows of one matrix (a row v^T projects to
-    v^T conj(B) B^T); each is vectorized as it arrives, so only its vector
-    outlives it.  A candidate of norm below 1e-13 reads 0, and a NaN
-    candidate reads NaN (never 0, so it cannot pass) while the other rows
-    stay finite.
+    vectors are the candidates' coefficient vectors in basis order, one per
+    row.  Returns one residual per row: ||v - B B* v|| for the unit vector v
+    along it, with B = target.kernel_matrix; the rows are projected together
+    (a row v^T projects to v^T conj(B) B^T).  A row of norm below 1e-13
+    reads 0, and a NaN row reads NaN (never 0, so it cannot pass) while the
+    other rows stay finite.
     """
-    vectors = np.array([vectorize(c) for c in candidates])
+    vectors = np.array(vectors, dtype=complex)
     norms = np.linalg.norm(vectors, axis=1)
     zero = norms < 1e-13
     vectors /= np.where(zero, 1.0, norms)[:, None]
@@ -413,8 +414,9 @@ def verify_planar_closure(results: list[QLevelResult], tol: float = 1e-9) -> Clo
     level m into level m+1, and l-fold right expectations map level m+1
     into level m; the unit belongs to every level.  The plus-shaded levels
     must form one consecutive run of two or more, so that every inclusion
-    and expectation between them is checked.  Candidates are projected a
-    block at a time: the products a.b of one left factor a over the basis,
+    and expectation between them is checked.  Candidates are projected as
+    coefficient vectors, a block at a time: the products a.b of one left
+    factor a over the basis, one `product_vector` per pair and never a dict,
     and each other kind once per level, so a block never holds more
     candidates than the basis it comes from.  Report-only: the worst
     residual per closure type is returned, not raised.
@@ -427,23 +429,24 @@ def verify_planar_closure(results: list[QLevelResult], tol: float = 1e-9) -> Clo
     found: dict[str, list[float]] = {kind: [] for kind in (
         "unit", "product", "inclusion", "expectation", "rotation", "star")}
 
-    def check(kind, candidates, target):
-        found[kind].append(numerics.worst(_projection_residual(candidates, target)))
+    def check(kind, vectors, target):
+        found[kind].append(numerics.worst(_projection_residual(vectors, target)))
 
     for m, res in plus.items():
         basis = res.basis
         if not basis:
             continue
-        check("unit", [unit(basis[0].ctx, res.ambient_color)], res)
+        check("unit", [vectorize(unit(basis[0].ctx, res.ambient_color))], res)
         for a in basis:
-            check("product", (mult(a, b) for b in basis), res)
-        check("star", (star(a) for a in basis), res)
+            check("product", [product_vector(a, b) for b in basis], res)
+        check("star", [vectorize(star(a)) for a in basis], res)
         if m >= 1:
-            check("rotation", (rotate_pow(a, 2 * ell) for a in basis), res)
+            check("rotation", [vectorize(rotate_pow(a, 2 * ell)) for a in basis], res)
         if m + 1 in plus:
-            check("inclusion", (incl_right_pow(a, ell) for a in basis), plus[m + 1])
+            check("inclusion", [vectorize(incl_right_pow(a, ell)) for a in basis], plus[m + 1])
         if m - 1 in plus:
-            check("expectation", (cond_right_pow(a, ell) for a in basis), plus[m - 1])
+            check("expectation", [vectorize(cond_right_pow(a, ell)) for a in basis],
+                  plus[m - 1])
     return ClosureReport(levels, {kind: numerics.worst(residuals)
                                   for kind, residuals in found.items()}, tol)
 

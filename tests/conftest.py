@@ -63,6 +63,11 @@ def hadamard_equivalent(n: int, seed: int) -> sp.HadamardMatrix:
     return sp.HadamardMatrix(d1[:, None] * f * d2[None, :])
 
 
+def f4q(q) -> np.ndarray:
+    """The one-parameter family F4(q) of 4 x 4 complex Hadamard matrices."""
+    return np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, q, -1, -q], [1, -q, -1, q]])
+
+
 def tensor_biunitary(n: int, seed: int = 11) -> sp.BiunitaryMatrix:
     """A (x) B for Haar-random unitaries A, B: always biunitary."""
     return sp.BiunitaryMatrix(np.kron(haar_unitary(n, seed), haar_unitary(n, seed + 1)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spinplanar as sp
-from spinplanar.core import SCALAR_INDEX
+from spinplanar.core import SCALAR_INDEX, product_vector
 from conftest import matrix_unit_product
 
 ALL_COLORS = [sp.SpinColor(k, sh) for k in range(0, 6) for sh in (sp.PLUS, sp.MINUS)]
@@ -86,6 +86,8 @@ def test_mult_matches_matrix_unit_product(n):
             assert set(got.coeffs) == set(want)
             assert max((abs(got.coefficient(k) - v) for k, v in want.items()),
                        default=0.0) <= 1e-14
+            # mult is product_vector laid into a dict: the vectors agree exactly
+            assert np.array_equal(product_vector(x, y), sp.vectorize(got))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -145,6 +147,9 @@ def test_mult_mismatch_messages(ctx2, ctx3):
         sp.mult(sp.unit(ctx2, sp.SpinColor(0, sp.PLUS)), sp.unit(ctx2, sp.SpinColor(0, sp.MINUS)))
     with pytest.raises(ValueError, match="context mismatch in mult: N=2 vs N=3"):
         sp.mult(sp.unit(ctx2, sp.SpinColor(3, sp.MINUS)), sp.unit(ctx3, sp.SpinColor(3, sp.MINUS)))
+    with pytest.raises(ValueError, match=r"color mismatch in mult: \(2,\+\) vs \(2,-\)"):
+        product_vector(sp.unit(ctx2, sp.SpinColor(2, sp.PLUS)),
+                       sp.unit(ctx2, sp.SpinColor(2, sp.MINUS)))
 
 
 def test_mult_color_mismatch(ctx2, ctx3):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import spinplanar as sp
+from spinplanar.core import product_vector
 from spinplanar.subfactor import CablingData
 import oracle_hadamard as oh
-from conftest import (hadamard_equivalent, haar_qls, latin5, tensor_biunitary, tower_dims,
-                      z3_latin)
+import oracle_latin as ol
+from conftest import (LATIN5_ROWS, f4q, hadamard_equivalent, haar_qls, latin5,
+                      tensor_biunitary, tower_dims, z3_latin)
 
 
 def fourier_staircase(n=2, levels=3):
@@ -261,11 +263,6 @@ def test_dense_qls_has_the_tower_of_its_latin_square(make, seed, dims):
     assert tower_dims(square.to_element()) == dims
 
 
-def f4q(q):
-    """The one-parameter family F4(q) of 4 x 4 complex Hadamard matrices."""
-    return np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, q, -1, -q], [1, -q, -1, q]])
-
-
 @pytest.mark.parametrize("h, dims", [(sp.fourier_hadamard(3).entries, [1, 1, 3, 9]),
                                      (f4q(np.exp(0.7j)), [1, 1, 3, 10])],
                          ids=["F3", "F4(exp(0.7i))"])
@@ -288,6 +285,18 @@ def test_hadamard_tower_matches_the_closed_form_oracle(h, levels):
     assert tower_dims(sp.HadamardMatrix(h).to_element(), levels) == oh.tower(h, levels)
 
 
+@pytest.mark.parametrize("rows, dims", [
+    (sp.s3_table(), [1, 1, 6, 36]),
+    ([[1 + (a ^ b) for b in range(4)] for a in range(4)], [1, 1, 4, 16]),
+    (sp.cyclic_table(5), [1, 1, 5, 25]),
+    (LATIN5_ROWS, [1, 1, 2, 5]),
+], ids=["S3", "Z2xZ2", "Z5", "latin5"])
+def test_latin_tower_matches_the_closed_form_oracle(rows, dims):
+    # orbits of G = <R_a^-1 R_b> on m-tuples, counted apart by Burnside's lemma
+    assert ol.tower(rows, 3) == dims
+    assert tower_dims(sp.LatinSquare(np.array(rows)).to_element()) == dims
+
+
 @pytest.mark.parametrize("a, b, dims", [
     (sp.fourier_hadamard(2).entries, sp.fourier_hadamard(3).entries, [1, 1, 6, 36]),
     (sp.fourier_hadamard(3).entries, sp.fourier_hadamard(2).entries, [1, 1, 6, 36]),
@@ -300,6 +309,41 @@ def test_tensor_product_tower_is_the_product_of_the_factor_towers(a, b, dims):
 
     assert dims_of(np.kron(a, b)) == dims
     assert dims == [x * y for x, y in zip(dims_of(a), dims_of(b))]
+
+
+def jones_projections(ctx, ell, m, color):
+    """e_0 .. e_(m-2) at level m, width w = m l: the l-cabled Jones projections
+    N^(-l/2) incl_right^(w-2l-jl)(incl_left^(jl)(rotate_pow(unit(2l, s), l))),
+    each with the shading s that lands it on color."""
+    out = []
+    for j in range(m - 1):
+        for s in (sp.PLUS, sp.MINUS):
+            cup_cap = sp.rotate_pow(sp.unit(ctx, sp.SpinColor(2 * ell, s)), ell)
+            e = sp.incl_right_pow(sp.incl_left_pow(cup_cap, j * ell), (m - 2 - j) * ell)
+            if e.color == color:
+                out.append(ctx.N ** (-ell / 2) * e)
+    return out
+
+
+@pytest.mark.parametrize("u, ell, levels", [
+    (sp.fourier_hadamard(3).to_element(), 1, 4),
+    (sp.fourier_hadamard(4).to_element(), 1, 3),
+    (tensor_biunitary(2).to_element(), 2, 3),
+    (sp.group_element(sp.s3_table()), 1, 3),
+], ids=["F3", "F4", "AxB", "S3"])
+def test_jones_projections_lie_in_every_level(u, ell, levels):
+    # every subfactor planar algebra contains Temperley-Lieb at index N^l
+    ctx = u.ctx
+    for res in sp.q_tower(sp.build_staircase(u, ell, levels), levels)[2:]:
+        es = jones_projections(ctx, ell, res.level, res.ambient_color)
+        assert len(es) == res.level - 1
+        vectors = [sp.vectorize(e) for e in es]
+        assert sp.subfactor._projection_residual(vectors, res).max() <= 1e-13
+        for j, e in enumerate(es):
+            assert sp.coeff_distance(sp.mult(e, e), e) <= 1e-14
+            for f in es[max(j - 1, 0):j] + es[j + 1:j + 2]:
+                assert sp.coeff_distance(sp.mult(sp.mult(e, f), e),
+                                         ctx.N ** -ell * e) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +434,8 @@ def test_planar_closure_needs_two_levels():
             sp.verify_planar_closure([tower[m] for m in levels])
 
 
-def _reference_residual(candidate, target):
-    # one candidate at a time, written from the definition
-    v = sp.vectorize(candidate)
+def _reference_residual(v, target):
+    # one coefficient vector at a time, written from the definition
     if np.linalg.norm(v) < 1e-13:
         return 0.0
     v = v / np.linalg.norm(v)
@@ -401,19 +444,20 @@ def _reference_residual(candidate, target):
 
 
 def test_projection_residual_in_off_zero_and_nan(rng):
-    # one block: a candidate in the kernel's span, one orthogonal to it, a
-    # zero, a NaN and a kernel member; the NaN stays in its own row
+    # one block of coefficient vectors: one in the kernel's span, one
+    # orthogonal to it, a zero, a NaN and a kernel member; the NaN stays in
+    # its own row
     target = sp.q_level(fourier_staircase(3, 2), 2)
-    first = target.basis[0]
+    first = sp.vectorize(target.basis[0])
     b = target.kernel_matrix
     z = rng.normal(size=b.shape[0]) + 1j * rng.normal(size=b.shape[0])
-    on = sp.devectorize(first.ctx, first.color, b @ (b.conj().T @ z))
-    off = sp.devectorize(first.ctx, first.color, z - b @ (b.conj().T @ z))
-    zero = sp.SpinElement(first.ctx, first.color, {})
-    idx = next(iter(first.coeffs))
-    nan = sp.SpinElement(first.ctx, first.color, {**first.coeffs, idx: complex("nan")})
+    on = b @ (b.conj().T @ z)
+    off = z - on
+    zero = np.zeros_like(first)
+    nan = first.copy()
+    nan[np.flatnonzero(first)[0]] = complex("nan")
     with np.errstate(invalid="ignore"):
-        residuals = sp.subfactor._projection_residual(iter([on, off, zero, nan, first]), target)
+        residuals = sp.subfactor._projection_residual([on, off, zero, nan, first], target)
     assert residuals.shape == (5,)
     assert residuals[0] <= 1e-14 and residuals[4] <= 1e-14
     assert abs(residuals[1] - 1.0) <= 1e-14
@@ -423,20 +467,41 @@ def test_projection_residual_in_off_zero_and_nan(rng):
 
 
 def test_projection_residual_matches_one_at_a_time(rng):
-    # blocks of mixed candidates: kernel members, products, random elements
+    # blocks of mixed coefficient vectors, as the rows of one array: kernel
+    # members, products, random elements and a zero
     tower = sp.q_tower(sp.build_staircase(tensor_biunitary(2).to_element(), 2, 2), 2)
     target = tower[2]
     color = target.ambient_color
-    candidates = list(target.basis[:5])
-    candidates += [sp.mult(a, b) for a in target.basis[:3] for b in target.basis[-3:]]
-    candidates += [sp.random_element(target.basis[0].ctx, color, rng) for _ in range(4)]
-    candidates.append(sp.SpinElement(target.basis[0].ctx, color, {}))
-    order = rng.permutation(len(candidates))
-    candidates = [candidates[i] for i in order]
-    want = [_reference_residual(c, target) for c in candidates]
-    for lo, hi in ((0, len(candidates)), (0, 1), (3, 11)):
-        got = sp.subfactor._projection_residual(candidates[lo:hi], target)
+    candidates = [sp.vectorize(a) for a in target.basis[:5]]
+    candidates += [product_vector(a, b) for a in target.basis[:3] for b in target.basis[-3:]]
+    candidates += [sp.vectorize(sp.random_element(target.basis[0].ctx, color, rng))
+                   for _ in range(4)]
+    candidates.append(np.zeros(sp.color_dim(target.basis[0].ctx, color), dtype=complex))
+    vectors = np.array(candidates)[rng.permutation(len(candidates))]
+    want = np.array([_reference_residual(v, target) for v in vectors])
+    for lo, hi in ((0, len(vectors)), (0, 1), (3, 11)):
+        got = sp.subfactor._projection_residual(vectors[lo:hi], target)
         assert np.abs(got - want[lo:hi]).max() <= 1e-14
+
+
+def test_closure_builds_no_element_from_a_vector(monkeypatch):
+    # every product stays a coefficient vector from the matmul to the
+    # projection; a counting devectorize would see each product that went
+    # through mult instead
+    results = sp.q_tower(sp.build_staircase(sp.fourier_hadamard(4).to_element(), 1, 3), 3)
+    calls = []
+    real = sp.core.devectorize
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(sp.core, "devectorize", counting)
+    monkeypatch.setattr(sp.subfactor, "devectorize", counting)
+    report = sp.verify_planar_closure(results)
+    assert report.ok and calls == []
+    sp.mult(results[2].basis[0], results[2].basis[1])  # the counter does see mult
+    assert len(calls) == 1
 
 
 def test_group_oracle_agrees_with_tower():
