@@ -24,11 +24,9 @@ from .groups import (GroupValidationError, builtin_group, cyclic_table,
                      predicted_group_dims, s3_table, validate_group, x_element)
 from .subfactor import (CablingData, ClosureReport, GroupOracle,
                         MembershipOperator, QLevelResult, Staircase,
-                        build_staircase, extract_partner_y, group_oracle,
-                        left_projection, membership_by_partner,
-                        membership_operator, partner_operator, q_level,
-                        q_tower, q_zero_minus, reconstruct_from_partner,
-                        sigma, verify_planar_closure)
+                        build_staircase, group_oracle, membership_operator,
+                        q_level, q_tower, q_zero_minus, sigma,
+                        verify_planar_closure)
 from .selftest import CheckResult, random_element, run_relation_suite
 
 __version__ = "0.1.0"

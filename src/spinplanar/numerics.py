@@ -161,11 +161,3 @@ def kernel_basis(a, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> K
         gap = float(kept[-1] / max(discarded[0], floor))
     return KernelResult(basis, basis.shape[1], s, threshold, gap)
 
-
-def lstsq_residual(a, b) -> float:
-    """Relative residual of the least-squares solution of a x = b."""
-    m = as_matrix(a)
-    rhs = np.asarray(b, dtype=complex).reshape(-1)
-    x, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    return float(np.linalg.norm(m @ x - rhs)) / scale

@@ -32,9 +32,9 @@ from . import numerics
 from .core import (MINUS, PLUS, SpinColor, SpinContext, SpinElement,
                    algebra_blocks, basis_order, basis_weight, block_shape,
                    color_dim, mult, product_vector, star, unit, vectorize,
-                   devectorize, norm)
-from .ops import (cond_left_pow, cond_right_pow, incl_left_pow,
-                  incl_right_pow, rotate_pow)
+                   devectorize)
+from .core import norm  # noqa: F401  (not called here; bench/run.py wraps subfactor.norm)
+from .ops import incl_left_pow, incl_right_pow, rotate_pow
 from .groups import (group_element, orbit_representatives, orbit_sum,
                      predicted_group_dims, x_element)
 from . import qit
@@ -143,12 +143,6 @@ def sigma(stair: Staircase, m: int, x: SpinElement, minus: bool = False) -> Spin
     return mult(um, mult(incl_right_pow(x, cab.depth), star(um)))
 
 
-def left_projection(y: SpinElement, depth: int) -> SpinElement:
-    """Orthogonal projection onto the image of the depth-fold left inclusion."""
-    delta_pow = y.ctx.delta ** (-depth)
-    return delta_pow * incl_left_pow(cond_left_pow(y, depth), depth)
-
-
 @dataclass
 class MembershipOperator:
     """The map L(x) = sigma(x) - F(sigma(x)) as a dense matrix.
@@ -184,6 +178,23 @@ def _image_supports(ctx: SpinContext, color: SpinColor, include, times: int) -> 
     labels = vectorize(include(labeled, times)).real.astype(np.int64)
     order = np.argsort(labels, kind="stable")
     return order[len(labels) - np.count_nonzero(labels):].reshape(color_dim(ctx, color), -1)
+
+
+def _permutation_rows(ctx: SpinContext, color: SpinColor, tangle, rows: np.ndarray,
+                      antilinear: bool = False) -> np.ndarray:
+    """tangle applied to every row of rows, coefficient vectors of color.
+
+    tangle (star, or rotation by an even number of clicks, which keeps the
+    color and so brings in no power of delta) sends each basis element to
+    another one of the same color with coefficient 1, so on coefficient
+    vectors it is a gather.  As in `_image_supports`, a single call on the
+    element that carries the label j + 1 at e_j reads off where every e_j
+    lands.  An antilinear tangle (star) conjugates the rows too.
+    """
+    labeled = SpinElement(ctx, color, {idx: j + 1.0 + 0j
+                                       for j, idx in enumerate(basis_order(ctx, color))})
+    source = vectorize(tangle(labeled)).real.astype(np.intp) - 1
+    return rows[:, source].conj() if antilinear else rows[:, source]
 
 
 def membership_operator(stair: Staircase, m: int, minus: bool = False) -> MembershipOperator:
@@ -306,70 +317,6 @@ def q_tower(stair: Staircase, max_level: int) -> list[QLevelResult]:
 
 
 # ---------------------------------------------------------------------------
-# the partner element y and the reconstruction identity
-
-
-def extract_partner_y(stair: Staircase, m: int, x: SpinElement,
-                      tol: float = 1e-9) -> SpinElement:
-    """The partner y with sigma(x) = incl_left^{k-l}(y), up to normalization.
-
-    Defined for x in the kernel; raises with the membership residual
-    otherwise.  Normalized so that reconstruct_from_partner(y) returns x.
-    """
-    cab = stair.cab
-    sx = sigma(stair, m, x)
-    defect = sx - left_projection(sx, cab.depth)
-    scale = max(norm(x), 1e-300)
-    residual = norm(defect) / scale
-    if residual > tol:
-        raise ValueError(f"x is not in the level-{m} kernel: relative residual {residual:.3g}")
-    return (stair.ctx.delta ** (-cab.depth)) * cond_left_pow(sx, cab.depth)
-
-
-def reconstruct_from_partner(stair: Staircase, m: int, y: SpinElement) -> SpinElement:
-    """Inverse of extract_partner_y on kernel elements.
-
-    x = delta^{-(k-l)} . cond_right^{k-l}( u_(m)* . incl_left^{k-l}(y) . u_(m) ).
-    """
-    cab = stair.cab
-    um = stair.element(m)
-    inner = mult(star(um), mult(incl_left_pow(y, cab.depth), um))
-    return (stair.ctx.delta ** (-cab.depth)) * cond_right_pow(inner, cab.depth)
-
-
-def partner_operator(stair: Staircase, m: int) -> np.ndarray:
-    """Dense matrix of reconstruct_from_partner over the partner basis.
-
-    Columns run over the basis of the partner color (m*l, eps*(-1)^{k-l});
-    x satisfies the membership condition iff it lies in the column span.
-    """
-    ctx = stair.ctx
-    cab = stair.cab
-    y_color = SpinColor(m * cab.ell, cab.shading * ((-1) ** cab.depth))
-    cols = []
-    for idx in basis_order(ctx, y_color):
-        y = SpinElement(ctx, y_color, {idx: 1.0 + 0j})
-        cols.append(vectorize(reconstruct_from_partner(stair, m, y)))
-    ambient_dim = color_dim(ctx, cab.ambient_color(m))
-    return np.column_stack(cols) if cols else np.zeros((ambient_dim, 0))
-
-
-def membership_by_partner(stair: Staircase, m: int, x: SpinElement,
-                          tol: float = 1e-9,
-                          recon_matrix: np.ndarray | None = None) -> tuple[bool, float]:
-    """Membership via solvability of the reconstruction equation.
-
-    Decides whether some partner y reconstructs to x, by least squares over
-    the partner basis; agrees with the kernel condition of q_level.  Pass a
-    precomputed partner_operator matrix to amortize over many probes.
-    """
-    if recon_matrix is None:
-        recon_matrix = partner_operator(stair, m)
-    residual = numerics.lstsq_residual(recon_matrix, vectorize(x))
-    return residual <= tol, residual
-
-
-# ---------------------------------------------------------------------------
 # closure verification and the group oracle
 
 
@@ -395,8 +342,10 @@ def _projection_residual(vectors, target: QLevelResult) -> np.ndarray:
     along it, with B = target.kernel_matrix; the rows are projected together
     (a row v^T projects to v^T conj(B) B^T).  A row of norm below 1e-13
     reads 0, and a NaN row reads NaN (never 0, so it cannot pass) while the
-    other rows stay finite.
+    other rows stay finite.  No rows read no residuals (an empty array).
     """
+    if len(vectors) == 0:
+        return np.zeros(0)
     vectors = np.array(vectors, dtype=complex)
     norms = np.linalg.norm(vectors, axis=1)
     zero = norms < 1e-13
@@ -407,45 +356,77 @@ def _projection_residual(vectors, target: QLevelResult) -> np.ndarray:
     return residuals
 
 
+def _inclusion_rows(rows: np.ndarray, supports: np.ndarray, dim: int) -> np.ndarray:
+    """incl_right^l of every row, given the `_image_supports` of that inclusion:
+    each coefficient copied onto its basis element's support, in dimension dim."""
+    out = np.zeros((len(rows), dim), dtype=complex)
+    out[:, supports] = rows[:, :, None]
+    return out
+
+
+def _expectation_rows(ctx: SpinContext, rows: np.ndarray, supports: np.ndarray,
+                      times: int) -> np.ndarray:
+    """cond_right^times of every row, given the `_image_supports` of the
+    times-fold right inclusion into the rows' color: its adjoint, summing
+    each support, times delta^times / fan-out, since cond o incl is delta^times
+    times the identity (the coefficients it drops lie on no support)."""
+    return rows[:, supports].sum(axis=2) * (ctx.delta ** times / supports.shape[1])
+
+
 def verify_planar_closure(results: list[QLevelResult], tol: float = 1e-9) -> ClosureReport:
     """Check the computed kernels close under the generating operations.
 
     Products and rotations stay within a level, l-fold right inclusions map
     level m into level m+1, and l-fold right expectations map level m+1
-    into level m; the unit belongs to every level.  The plus-shaded levels
-    must form one consecutive run of two or more, so that every inclusion
-    and expectation between them is checked.  Candidates are projected as
-    coefficient vectors, a block at a time: the products a.b of one left
-    factor a over the basis, one `product_vector` per pair and never a dict,
-    and each other kind once per level, so a block never holds more
-    candidates than the basis it comes from.  Report-only: the worst
-    residual per closure type is returned, not raised.
+    into level m; the unit belongs to every level, also one whose basis is
+    empty (it then reads residual 1).  The plus-shaded levels must form one
+    consecutive run of two or more, so that every inclusion and expectation
+    between them is checked.  Candidates are projected as coefficient
+    vectors, a block at a time.  Each level's basis is stacked once into a
+    block of rows; star and rotation by 2l clicks (permutations), the
+    inclusion (a 0/1 map with disjoint supports) and the expectation (its
+    adjoint up to delta^l / fan-out) are each read off once per level with
+    labelled elements and applied to the whole block as one array operation.
+    Products stay one `product_vector` per pair, never a dict, with one block
+    per left factor a (the products a.b over the basis).  Report-only: the
+    worst residual per closure type is returned, not raised.
     """
     plus = {r.level: r for r in results if not r.minus}
     levels = sorted(plus)
     if len(levels) < 2 or levels != list(range(levels[0], levels[0] + len(levels))):
         raise ValueError(f"need two or more consecutive computed levels, got {levels}")
     ell = plus[levels[0]].ell
+    # N from the top level, whose width is at least l: N^width kernel rows
+    top = plus[levels[-1]]
+    ctx = SpinContext(round(len(top.kernel_matrix) ** (1 / top.ambient_color.width)))
     found: dict[str, list[float]] = {kind: [] for kind in (
         "unit", "product", "inclusion", "expectation", "rotation", "star")}
 
     def check(kind, vectors, target):
         found[kind].append(numerics.worst(_projection_residual(vectors, target)))
 
-    for m, res in plus.items():
-        basis = res.basis
-        if not basis:
-            continue
-        check("unit", [vectorize(unit(basis[0].ctx, res.ambient_color))], res)
+    def rotate_twice(x):
+        return rotate_pow(x, 2 * ell)
+
+    supports = {}  # level m -> supports of the l-fold inclusion of level m
+    for m in levels:
+        res = plus[m]
+        basis, color = res.basis, res.ambient_color
+        rows = np.array([vectorize(a) for a in basis], dtype=complex).reshape(
+            len(basis), len(res.kernel_matrix))
+        check("unit", [vectorize(unit(ctx, color))], res)
         for a in basis:
             check("product", [product_vector(a, b) for b in basis], res)
-        check("star", [vectorize(star(a)) for a in basis], res)
+        check("star", _permutation_rows(ctx, color, star, rows, antilinear=True), res)
         if m >= 1:
-            check("rotation", [vectorize(rotate_pow(a, 2 * ell)) for a in basis], res)
+            check("rotation", _permutation_rows(ctx, color, rotate_twice, rows), res)
         if m + 1 in plus:
-            check("inclusion", [vectorize(incl_right_pow(a, ell)) for a in basis], plus[m + 1])
+            above = plus[m + 1]
+            supports[m] = _image_supports(ctx, color, incl_right_pow, ell)
+            check("inclusion", _inclusion_rows(rows, supports[m], len(above.kernel_matrix)),
+                  above)
         if m - 1 in plus:
-            check("expectation", [vectorize(cond_right_pow(a, ell)) for a in basis],
+            check("expectation", _expectation_rows(ctx, rows, supports[m - 1], ell),
                   plus[m - 1])
     return ClosureReport(levels, {kind: numerics.worst(residuals)
                                   for kind, residuals in found.items()}, tol)

@@ -14,6 +14,7 @@ import pytest
 
 import spinplanar as sp
 import oracle_dense as od
+import partner
 from conftest import LATIN5_ROWS, rotation_formula, tensor_biunitary
 
 
@@ -254,19 +255,19 @@ def test_ac05_sigma_f_structure_and_membership_agreement():
             for _ in range(4):
                 y1 = sp.random_element(stair.ctx, cab.target_color(m), rng)
                 y2 = sp.random_element(stair.ctx, cab.target_color(m), rng)
-                fy1 = sp.left_projection(y1, cab.depth)
+                fy1 = partner.left_projection(y1, cab.depth)
                 worst_f = max(
                     worst_f,
-                    sp.norm(sp.add(sp.left_projection(fy1, cab.depth),
+                    sp.norm(sp.add(partner.left_projection(fy1, cab.depth),
                                    sp.scale(-1, fy1))) / max(1.0, sp.norm(y1)),
                     abs(sp.inner_product(fy1, y2)
-                        - sp.inner_product(y1, sp.left_projection(y2, cab.depth)))
+                        - sp.inner_product(y1, partner.left_projection(y2, cab.depth)))
                     / max(1.0, sp.norm(y1) * sp.norm(y2)))
         # fixed-space membership: operator kernel versus partner reconstruction
         for m in range(1, stair.level + 1):
             res = results[m]
             op = sp.membership_operator(stair, m)
-            recon = sp.partner_operator(stair, m)
+            recon = partner.partner_operator(stair, m)
             for p in range(50):
                 if p % 2 == 0 and res.basis:
                     coeffs = rng.normal(size=res.dim) + 1j * rng.normal(size=res.dim)
@@ -277,8 +278,8 @@ def test_ac05_sigma_f_structure_and_membership_agreement():
                     x = sp.random_element(stair.ctx, cab.ambient_color(m), rng)
                 v = sp.vectorize(x)
                 by_kernel = np.linalg.norm(op.matrix @ v) / np.linalg.norm(v) < 1e-8
-                by_partner, _ = sp.membership_by_partner(stair, m, x, tol=1e-8,
-                                                         recon_matrix=recon)
+                by_partner, _ = partner.membership_by_partner(stair, m, x, tol=1e-8,
+                                                              recon_matrix=recon)
                 probes_done += 1
                 if by_kernel != by_partner:
                     disagreements += 1

@@ -7,6 +7,7 @@ import pytest
 
 import spinplanar as sp
 from spinplanar import numerics
+import partner
 from conftest import haar_unitary
 
 
@@ -223,5 +224,5 @@ def test_lstsq_residual():
     a = np.eye(3)[:, :2]  # span of first two coordinates
     inside = np.array([1.0, 2.0, 0.0])
     outside = np.array([0.0, 0.0, 1.0])
-    assert numerics.lstsq_residual(a, inside) < 1e-14
-    assert numerics.lstsq_residual(a, outside) == pytest.approx(1.0)
+    assert partner.lstsq_residual(a, inside) < 1e-14
+    assert partner.lstsq_residual(a, outside) == pytest.approx(1.0)

@@ -10,6 +10,7 @@ from spinplanar.core import product_vector
 from spinplanar.subfactor import CablingData
 import oracle_hadamard as oh
 import oracle_latin as ol
+import partner
 from conftest import (LATIN5_ROWS, f4q, hadamard_equivalent, haar_qls, latin5,
                       tensor_biunitary, tower_dims, z3_latin)
 
@@ -149,12 +150,12 @@ def test_left_projection_is_conditional_expectation(rng):
     color = stair.cab.target_color(2)
     x = sp.random_element(ctx, color, rng)
     y = sp.random_element(ctx, color, rng)
-    fx = sp.left_projection(x, depth)
-    assert sp.coeff_distance(sp.left_projection(fx, depth), fx) < 1e-12
+    fx = partner.left_projection(x, depth)
+    assert sp.coeff_distance(partner.left_projection(fx, depth), fx) < 1e-12
     lhs = sp.inner_product(fx, y)
-    rhs = sp.inner_product(x, sp.left_projection(y, depth))
+    rhs = sp.inner_product(x, partner.left_projection(y, depth))
     assert abs(lhs - rhs) < 1e-12
-    assert sp.coeff_distance(sp.star(fx), sp.left_projection(sp.star(x), depth)) < 1e-12
+    assert sp.coeff_distance(sp.star(fx), partner.left_projection(sp.star(x), depth)) < 1e-12
 
 
 CABLING_CASES = {
@@ -178,7 +179,7 @@ def test_membership_operator_matches_definition(case):
         assert op.matrix.shape == (sp.color_dim(ctx, op.target_color), len(order))
         for j, idx in enumerate(order):
             sx = sp.sigma(stair, m, sp.make_basis(ctx, idx), minus)
-            want = sp.vectorize(sx - sp.left_projection(sx, depth))
+            want = sp.vectorize(sx - partner.left_projection(sx, depth))
             assert np.max(np.abs(op.matrix[:, j] - want)) <= 1e-14
 
 
@@ -354,8 +355,8 @@ def test_partner_round_trip():
     stair = group_staircase(sp.cyclic_table(3), 2)
     r = sp.q_level(stair, 2)
     for b in r.basis:
-        y = sp.extract_partner_y(stair, 2, b)
-        back = sp.reconstruct_from_partner(stair, 2, y)
+        y = partner.extract_partner_y(stair, 2, b)
+        back = partner.reconstruct_from_partner(stair, 2, y)
         assert sp.coeff_distance(back, b) < 1e-10
 
 
@@ -365,11 +366,11 @@ def test_partner_of_orbit_sum_is_orbit_sum():
     stair = group_staircase(table, 2)
     for top, bottom in sp.orbit_representatives(table, 1):
         s = sp.orbit_sum(table, top, bottom)
-        y = sp.extract_partner_y(stair, 2, s)
+        y = partner.extract_partner_y(stair, 2, s)
         vals = sorted(abs(c) for c in y.coeffs.values())
         assert all(abs(v - 1.0) < 1e-9 for v in vals)
         assert len(vals) == 3
-        back = sp.reconstruct_from_partner(stair, 2, y)
+        back = partner.reconstruct_from_partner(stair, 2, y)
         assert sp.coeff_distance(back, s) < 1e-10
 
 
@@ -377,14 +378,14 @@ def test_extract_partner_rejects_non_members(rng):
     stair = fourier_staircase(2, 2)
     x = sp.random_element(stair.ctx, stair.cab.ambient_color(2), rng)
     with pytest.raises(ValueError):
-        sp.extract_partner_y(stair, 2, x)
+        partner.extract_partner_y(stair, 2, x)
 
 
 def test_membership_conditions_agree(rng):
     stair = fourier_staircase(2, 3)
     for m in (1, 2, 3):
         op = sp.membership_operator(stair, m)
-        recon = sp.partner_operator(stair, m)
+        recon = partner.partner_operator(stair, m)
         r = sp.q_level(stair, m)
         probes = list(r.basis)
         color = stair.cab.ambient_color(m)
@@ -393,7 +394,7 @@ def test_membership_conditions_agree(rng):
         for x in probes:
             v = sp.vectorize(x)
             in_kernel = np.linalg.norm(op.matrix @ v) / np.linalg.norm(v) < 1e-8
-            by_partner, _ = sp.membership_by_partner(stair, m, x, recon_matrix=recon)
+            by_partner, _ = partner.membership_by_partner(stair, m, x, recon_matrix=recon)
             assert in_kernel == by_partner
 
 
@@ -421,8 +422,93 @@ def test_planar_closure_fails_on_a_nan_candidate():
     with np.errstate(invalid="ignore"):
         report = sp.verify_planar_closure(results)
     assert not report.ok
-    assert np.isnan(report.residuals["product"]) and np.isnan(report.residuals["star"])
+    # the poisoned row reaches every kind the level's block feeds: rotation
+    # at level 1, inclusion into level 2 and expectation into level 0
+    for kind in ("product", "star", "rotation", "inclusion", "expectation"):
+        assert np.isnan(report.residuals[kind]), kind
     assert report.residuals["unit"] < 1e-9
+
+
+def test_planar_closure_checks_the_unit_on_an_empty_level():
+    # the unit lies in every Q_m, so a level with no basis cannot pass: a
+    # tower of empty levels used to read ok with every residual 0
+    tower = sp.q_tower(fourier_staircase(3, 2), 2)
+    empty = [dataclasses.replace(r, dim=0, basis=[],
+                                 kernel_matrix=np.zeros((len(r.kernel_matrix), 0), complex))
+             for r in tower]
+    report = sp.verify_planar_closure(empty)
+    assert not report.ok
+    assert report.residuals["unit"] == pytest.approx(1.0, abs=1e-15)
+    assert all(v == 0.0 for kind, v in report.residuals.items() if kind != "unit")
+    # one empty level among full ones fails on its unit alone
+    report = sp.verify_planar_closure(tower[:2] + empty[2:])
+    assert report.residuals["unit"] == pytest.approx(1.0, abs=1e-15)
+    assert report.residuals["product"] <= 1e-13
+
+
+def test_projection_residual_of_no_candidates():
+    target = sp.q_level(fourier_staircase(3, 2), 2)
+    for none in ([], np.zeros((0, len(target.kernel_matrix)), complex)):
+        residuals = sp.subfactor._projection_residual(none, target)
+        assert residuals.shape == (0,)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_closure_maps_match_the_dict_tangles(n, ell):
+    # every color of width 0-4 that a closure meets at cabling l, on either
+    # shading of the biunitary: the block maps against the dict tangles on
+    # seeded dense elements, one element per row
+    sub = sp.subfactor
+    ctx = sp.SpinContext(n)
+    rng = np.random.default_rng(100 * n + ell)
+    for width in range(0, 5, ell):
+        for shading in (sp.PLUS, sp.MINUS):
+            color = sp.SpinColor(width, shading)
+            elements = [sp.random_element(ctx, color, rng) for _ in range(3)]
+            rows = np.array([sp.vectorize(a) for a in elements])
+            star = sub._permutation_rows(ctx, color, sp.star, rows, antilinear=True)
+            assert np.array_equal(star, [sp.vectorize(sp.star(a)) for a in elements])
+            above = sp.SpinColor(width + ell, shading)
+            supports = sub._image_supports(ctx, color, sp.incl_right_pow, ell)
+            up = sub._inclusion_rows(rows, supports, sp.color_dim(ctx, above))
+            assert np.array_equal(up, [sp.vectorize(sp.incl_right_pow(a, ell))
+                                       for a in elements])
+            if width >= 1:
+                turned = sub._permutation_rows(ctx, color,
+                                               lambda x: sp.rotate_pow(x, 2 * ell), rows)
+                want = [sp.vectorize(sp.rotate_pow(a, 2 * ell)) for a in elements]
+                assert np.array_equal(turned, want)
+            if width >= ell:
+                below = sp.SpinColor(width - ell, shading)
+                supports = sub._image_supports(ctx, below, sp.incl_right_pow, ell)
+                down = sub._expectation_rows(ctx, rows, supports, ell)
+                want = np.array([sp.vectorize(sp.cond_right_pow(a, ell)) for a in elements])
+                assert np.linalg.norm(down - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_closure_reads_each_tangle_a_fixed_number_of_times_per_level(monkeypatch):
+    # star, rotation, inclusion and expectation are read off once per level
+    # as maps on the level's block, never applied to one basis element at a
+    # time (levels 0-3 of F4 have 1, 1, 4 and 16 basis elements)
+    results = sp.q_tower(sp.build_staircase(sp.fourier_hadamard(4).to_element(), 1, 3), 3)
+    calls = {}
+    for module, name in ((sp.core, "star"), (sp.ops, "rotate_pow"),
+                         (sp.ops, "incl_right_pow"), (sp.ops, "cond_right_pow")):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(sp.subfactor, name, counting, raising=False)
+    report = sp.verify_planar_closure(results)
+    assert report.ok
+    # one read per map: star on levels 0-3, rotation on 1-3, the inclusion
+    # on 0-2, whose supports the expectation on 1-3 reuses
+    assert calls == {"star": 4, "rotate_pow": 3, "incl_right_pow": 3, "cond_right_pow": 0}
 
 
 def test_planar_closure_needs_two_levels():
