@@ -21,7 +21,7 @@ from .core import (PLUS, SpinColor, SpinContext, SpinElement, SpinIndex,
 BUILTIN_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "S3")
 
 
-class GroupValidationError(ValueError):
+class GroupValidationError(qit.QitParseError):
     """A table failed one of the group axioms; .axiom names which."""
 
     def __init__(self, axiom: str, detail: str):
@@ -101,8 +101,8 @@ def builtin_group(name: str) -> list[list[int]]:
             return cyclic_table(n)
     if key == "S3":
         return s3_table()
-    raise GroupValidationError("closure",
-                               f"unknown builtin {name!r}; available: {', '.join(BUILTIN_GROUPS)}")
+    raise qit.QitParseError(f"unknown builtin group {name!r}; "
+                            f"available: {', '.join(BUILTIN_GROUPS)}")
 
 
 def group_element(table) -> SpinElement:

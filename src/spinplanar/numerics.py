@@ -16,7 +16,7 @@ and the right singular vectors are those of the matrix as given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -71,8 +71,7 @@ def worst(residuals) -> float:
     return float(np.max(list(residuals), initial=0.0))
 
 
-@dataclass
-class KernelResult:
+class KernelResult(NamedTuple):
     """Kernel of a matrix by rank-revealing SVD.
 
     basis: columns form an l2-orthonormal basis of the kernel.

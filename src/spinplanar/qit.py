@@ -48,8 +48,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -91,9 +90,9 @@ class QitObject:
     scaled: ClassVar[bool]
     n: int
 
-    def __post_init__(self):
+    def __init__(self, value):
         try:
-            a = np.asarray(getattr(self, self.field), dtype=self.dtype)
+            a = np.asarray(value, dtype=self.dtype)
         except (TypeError, ValueError, OverflowError) as exc:
             raise QitParseError(f"{self.name} {self.field}: {exc}") from None
         n = round(a.shape[-1] ** (1 / self.shape[-1])) if a.ndim == len(self.shape) else 0
@@ -151,14 +150,12 @@ class QitObject:
         return cls(a * n ** 0.5 if cls.scaled else a)
 
 
-@dataclass
 class HadamardMatrix(QitObject):
     """n x n complex matrix with unimodular entries and HH* = nI, placed as
     u = sum_ij (h_ij / sqrt(n)) e^i_j in (2,+)."""
 
     kind, name, field, shape = "hadamard", "Hadamard matrix", "entries", (1, 1)
     ell, width, axes, scaled = 1, 2, (0, 1), True
-    entries: np.ndarray
 
     def defects(self) -> dict[str, float]:
         h = self.entries
@@ -168,7 +165,6 @@ class HadamardMatrix(QitObject):
         }
 
 
-@dataclass
 class QuantumLatinSquare(QitObject):
     """n x n array of vectors in C^n; every row and column is an orthonormal basis.
 
@@ -179,7 +175,6 @@ class QuantumLatinSquare(QitObject):
 
     kind, name, field, shape = "qls", "quantum Latin square", "vectors", (1, 1, 1)
     ell, width, axes, scaled = 1, 3, (2, 0, 1), False
-    vectors: np.ndarray
 
     def defects(self) -> dict[str, float]:
         # vectors[i] holds row i's vectors, vectors[:, j] column j's
@@ -187,7 +182,6 @@ class QuantumLatinSquare(QitObject):
                 "column-orthonormality": numerics.unitary_defect(self.vectors.swapaxes(0, 1))}
 
 
-@dataclass
 class LatinSquare(QitObject):
     """n x n array over symbols 1..n, each once per row and per column, placed
     as its quantum Latin square image: u = sum_ij e^{rows[i, j]}_i(j] in (3,+)."""
@@ -195,7 +189,6 @@ class LatinSquare(QitObject):
     kind, name, field, shape, dtype = "latin", "Latin square", "rows", (1, 1), int
     ell, width, axes, scaled = (QuantumLatinSquare.ell, QuantumLatinSquare.width,
                                 QuantumLatinSquare.axes, QuantumLatinSquare.scaled)
-    rows: np.ndarray
 
     def defects(self) -> dict[str, float]:
         # a row or column holds each symbol once exactly when it sorts to 1..n
@@ -215,7 +208,6 @@ class LatinSquare(QitObject):
                          "QuantumLatinSquare.from_element reads its image")
 
 
-@dataclass
 class BiunitaryMatrix(QitObject):
     """n^2 x n^2 matrix, unitary with unitary block transpose.
 
@@ -229,7 +221,6 @@ class BiunitaryMatrix(QitObject):
 
     kind, name, field, shape = "biunitary", "biunitary matrix", "entries", (2, 2)
     ell, width, axes, scaled = 2, 4, (0, 1, 3, 2), False
-    entries: np.ndarray
 
     def defects(self) -> dict[str, float]:
         return {"unitarity": numerics.unitary_defect(self.entries),
@@ -237,7 +228,6 @@ class BiunitaryMatrix(QitObject):
                     numerics.unitary_defect(block_transpose(self.entries, self.n))}
 
 
-@dataclass
 class UnitaryErrorBasis(QitObject):
     """n^2 unitary n x n matrices, orthonormal under <A,B> = Tr(B*A)/n.
 
@@ -247,7 +237,6 @@ class UnitaryErrorBasis(QitObject):
 
     kind, name, field, shape = "ueb", "unitary error basis", "matrices", (2, 1, 1)
     ell, width, axes, scaled = None, 4, (2, 0, 1, 3), True
-    matrices: np.ndarray
 
     def defects(self) -> dict[str, float]:
         # the rows of the flattened matrices over sqrt(n) are orthonormal
@@ -270,8 +259,7 @@ def block_transpose(u: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(2, 1, 0, 3).reshape(n * n, n * n)
 
 
-@dataclass
-class BiunitaryCertificate:
+class BiunitaryCertificate(NamedTuple):
     """Verdict plus named residuals of the unitarity identities checked."""
 
     kind: str

@@ -12,7 +12,7 @@ Shared by the command line front end and the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .ops import (cond_left, cond_right, incl_left, incl_right,
                   rotate_pow)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     residual: float
     tol: float

@@ -25,6 +25,7 @@ X_g), giving an independent cross-check of the whole pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,6 @@ from .core import (MINUS, PLUS, SpinColor, SpinContext, SpinElement,
                    devectorize)
 from .core import norm  # noqa: F401  (not called here; bench/run.py wraps subfactor.norm)
 from .ops import incl_left_pow, incl_right_pow, rotate_pow
-from .groups import (group_element, orbit_representatives, orbit_sum,
-                     predicted_group_dims, x_element)
 from . import qit
 
 
@@ -70,8 +69,7 @@ class CablingData:
         return SpinColor(m * self.ell + self.depth, self.shading)
 
 
-@dataclass
-class Staircase:
+class Staircase(NamedTuple):
     """The transport elements u_(m,+) for m = 0..level, plus the shaded unit.
 
     u_(m,+) has color (m*l + k - l, eps) and is unitary; conjugation by it
@@ -143,8 +141,7 @@ def sigma(stair: Staircase, m: int, x: SpinElement, minus: bool = False) -> Spin
     return mult(um, mult(incl_right_pow(x, cab.depth), star(um)))
 
 
-@dataclass
-class MembershipOperator:
+class MembershipOperator(NamedTuple):
     """The map L(x) = sigma(x) - F(sigma(x)) as a dense matrix.
 
     Columns run over the ambient basis at the given level, rows over the
@@ -320,8 +317,7 @@ def q_tower(stair: Staircase, max_level: int) -> list[QLevelResult]:
 # closure verification and the group oracle
 
 
-@dataclass
-class ClosureReport:
+class ClosureReport(NamedTuple):
     """Max projection residual per closure type, over the levels supplied."""
 
     levels: list[int]
@@ -432,8 +428,7 @@ def verify_planar_closure(results: list[QLevelResult], tol: float = 1e-9) -> Clo
                                   for kind, residuals in found.items()}, tol)
 
 
-@dataclass
-class GroupOracle:
+class GroupOracle(NamedTuple):
     """Closed-form predictions for the subalgebra of a group-table biunitary."""
 
     table: list[list[int]]
@@ -442,12 +437,14 @@ class GroupOracle:
     dims: list[int]
 
     def x(self, g: int) -> SpinElement:
+        from .groups import x_element
         return x_element(self.table, g)
 
     def orbit_sums(self, level: int) -> list[SpinElement]:
         """Kernel basis at an even level 2m: orbit sums of the diagonal action."""
         if level <= 0 or level % 2:
             raise ValueError(f"orbit sums are defined at even levels >= 2, got {level}")
+        from .groups import orbit_representatives, orbit_sum
         half = level // 2
         return [orbit_sum(self.table, top, bottom)
                 for top, bottom in orbit_representatives(self.table, half)]
@@ -455,6 +452,7 @@ class GroupOracle:
 
 def group_oracle(table, max_level: int) -> GroupOracle:
     """Validate the table and package the closed-form group predictions."""
+    from .groups import group_element, predicted_group_dims
     element = group_element(table)
     return GroupOracle([list(r) for r in table], len(table), element,
                        predicted_group_dims(len(table), max_level))

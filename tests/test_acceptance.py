@@ -231,6 +231,27 @@ def test_ac04_rotated_acceptance():
 # AC5: embedding isometry, projection structure, and the two membership tests
 
 
+def projection_defect(stair, m, minus=False) -> float:
+    """How far the F inside L = S - F S is from the orthogonal projection onto
+    the image of the (k-l)-fold left inclusion, with S the matrix whose
+    columns are sigma of the ambient basis.  F S = S - L must lie in that
+    image (each column constant on every support of the inclusion's basis
+    images and zero off them), and L must be orthogonal to it (L* (S - L) = 0);
+    the largest defect of the three is returned."""
+    ctx, depth = stair.ctx, stair.cab.depth
+    op = sp.membership_operator(stair, m, minus)
+    s = np.column_stack([sp.vectorize(sp.sigma(stair, m, sp.make_basis(ctx, idx), minus))
+                         for idx in sp.basis_order(ctx, op.ambient_color)])
+    fs = s - op.matrix
+    target = op.target_color
+    source = sp.SpinColor(target.width - depth, target.shading * (-1) ** depth)
+    groups = sp.subfactor._image_supports(ctx, source, sp.incl_left_pow, depth)
+    on, off = fs[groups], np.delete(fs, groups.ravel(), axis=0)
+    return max(float(np.abs(on - on.mean(axis=1, keepdims=True)).max(initial=0.0)),
+               float(np.abs(off).max(initial=0.0)),
+               float(np.linalg.norm(op.matrix.conj().T @ fs, 2)))
+
+
 def test_ac05_sigma_f_structure_and_membership_agreement():
     rng = np.random.default_rng(515)
     tol = 1e-9
@@ -251,18 +272,9 @@ def test_ac05_sigma_f_structure_and_membership_agreement():
                 sxm = sp.sigma(stair, 0, xm, minus=True)
                 worst_iso = max(worst_iso, abs(sp.norm(sxm) - sp.norm(xm))
                                 / max(1.0, sp.norm(xm)))
-            # idempotence and self-adjointness of the cable projection
-            for _ in range(4):
-                y1 = sp.random_element(stair.ctx, cab.target_color(m), rng)
-                y2 = sp.random_element(stair.ctx, cab.target_color(m), rng)
-                fy1 = partner.left_projection(y1, cab.depth)
-                worst_f = max(
-                    worst_f,
-                    sp.norm(sp.add(partner.left_projection(fy1, cab.depth),
-                                   sp.scale(-1, fy1))) / max(1.0, sp.norm(y1)),
-                    abs(sp.inner_product(fy1, y2)
-                        - sp.inner_product(y1, partner.left_projection(y2, cab.depth)))
-                    / max(1.0, sp.norm(y1) * sp.norm(y2)))
+            # the F inside L is the orthogonal projection, in both shadings at 0
+            for minus in (False, True) if m == 0 else (False,):
+                worst_f = max(worst_f, projection_defect(stair, m, minus))
         # fixed-space membership: operator kernel versus partner reconstruction
         for m in range(1, stair.level + 1):
             res = results[m]

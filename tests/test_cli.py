@@ -187,9 +187,15 @@ def test_qdims_cap_refusal(files, capsys):
     assert "--max-level" in err or "--cap" in err
 
 
-def _f4q(tmp_path, eps):
+def _f4q(tmp_path, eps, seed=None):
+    # F4(q) at q = i e^{i eps}; with a seed, its equivalent D1 P1 F4(q) P2 D2
+    # under seeded permutations P and diagonal phases D
     q = 1j * np.exp(1j * eps)
     h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, q, -1, -q], [1, -q, -1, q]])
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+        d1, d2 = np.exp(2j * np.pi * rng.random((2, 4)))
+        h = d1[:, None] * h[np.ix_(rng.permutation(4), rng.permutation(4))] * d2[None, :]
     path = tmp_path / "f4q.json"
     path.write_text(json.dumps(sp.qit_to_json(sp.HadamardMatrix(h))))
     return str(path)
@@ -221,19 +227,21 @@ def test_qdims_answers_with_a_nearby_tower_or_refuses(tmp_path, capsys):
     # the generic one (1, 1, 3, 10).  A confident answer is the tower of an
     # input within the kernel threshold of the one given: small eps reads
     # the q = i tower, and in between the CLI may refuse (exit 4), but it
-    # never reports a third tower, and never q = i's past the generic one
-    towers = {}
-    for eps in (0, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6):
-        code, out, _ = run(capsys, "qdims", "--input", _f4q(tmp_path, eps),
-                           "--max-level", "3", "--format", "json")
-        assert code in (0, cli.EXIT_AMBIGUOUS), eps
-        if code == 0:
-            towers[eps] = tuple(row["dim"] for row in json.loads(out)["levels"])
+    # never reports a third tower, and never q = i's past the generic one.
+    # The same holds for two seeded Hadamard equivalents of the sweep.
     special, generic = (1, 1, 4, 16), (1, 1, 3, 10)
-    assert set(towers.values()) <= {special, generic}
-    assert towers[0] == special and towers[1e-6] == generic
-    assert (max(e for e, t in towers.items() if t == special)
-            < min(e for e, t in towers.items() if t == generic))
+    for seed in (None, 2401, 2402):
+        towers = {}
+        for eps in (0, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 3e-7, 1e-6):
+            code, out, _ = run(capsys, "qdims", "--input", _f4q(tmp_path, eps, seed),
+                               "--max-level", "3", "--format", "json")
+            assert code in (0, cli.EXIT_AMBIGUOUS), (seed, eps)
+            if code == 0:
+                towers[eps] = tuple(row["dim"] for row in json.loads(out)["levels"])
+        assert set(towers.values()) <= {special, generic}, (seed, towers)
+        assert towers[0] == special and towers[1e-6] == generic, (seed, towers)
+        assert (max(e for e, t in towers.items() if t == special)
+                < min(e for e, t in towers.items() if t == generic)), (seed, towers)
 
 
 def test_group_refuses_a_spectrum_that_does_not_separate(capsys, monkeypatch):
@@ -324,6 +332,15 @@ def test_group_bad_table(files, capsys):
     code, _, err = run(capsys, "group", "--input", files["badgroup"])
     assert code == 2
     assert "closure" in err
+
+
+def test_group_unknown_builtin(capsys):
+    # no table was read, so no axiom failed: an input error naming the builtins
+    code, out, err = run(capsys, "group", "--name", "Z1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == ("input error: unknown builtin group 'Z1'; "
+                           "available: Z2, Z3, Z4, Z5, Z6, S3")
 
 
 def test_group_missing_file(capsys):

@@ -5,9 +5,14 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import spinplanar as sp
 from spinplanar import cli
@@ -15,6 +20,51 @@ from spinplanar import cli
 TESTS = Path(__file__).parent
 README = TESTS.parent / "README.md"
 BENCH_RUN = TESTS.parent / "bench" / "run.py"
+SRC = Path(sp.__file__).resolve().parents[1]
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports spinplanar from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_only_the_base_modules():
+    # qdims, check and convert need no group or selftest code, so importing
+    # the command line must not load it
+    proc = fresh_python("import sys, spinplanar.cli; print(' '.join(sorted("
+                        "m for m in sys.modules if m.split('.')[0] == 'spinplanar')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["spinplanar"] + [
+        f"spinplanar.{m}" for m in ("cli", "core", "numerics", "ops", "qit", "subfactor")]
+
+
+def test_package_namespace_resolves_every_public_name():
+    listed = dir(sp)
+    for name in sp.__all__:
+        module = importlib.import_module(f"spinplanar.{sp._MODULE_OF[name]}")
+        assert getattr(sp, name) is getattr(module, name), name
+        assert name in listed, name
+    assert len(set(sp.__all__)) == len(sp.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(sp, "no_such_name")
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["group", "--input", "{table}"], 2, "stderr", "input error: not a group table (closure)"),
+    (["selftest", "--spins", "2"], 0, "stdout", "verdict: PASS"),
+], ids=["group-bad-table", "selftest"])
+def test_deferred_imports_run_in_a_fresh_process(tmp_path, argv, code, stream, text):
+    # group and selftest import their modules when they run; a fresh process
+    # has not loaded them through an earlier test
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps([[1, 2], [2, 3]]))
+    proc = fresh_python("import sys; from spinplanar.cli import main; sys.exit(main(sys.argv[1:]))",
+                        *(a.format(table=table) for a in argv))
+    assert proc.returncode == code, proc.stderr
+    assert text in getattr(proc, stream), proc.stderr
 
 
 def test_dense_oracle_does_not_import_the_package():
