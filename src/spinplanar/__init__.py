@@ -24,9 +24,9 @@ _EXPORTS = {module: names.split() for module, names in {
         latin_to_qls load_qit qit_from_json qit_to_json ueb_clock_shift""",
     "groups": """GroupValidationError builtin_group cyclic_table group_element
         orbit_representatives orbit_sum predicted_group_dims s3_table validate_group x_element""",
-    "subfactor": """CablingData ClosureReport GroupOracle MembershipOperator QLevelResult
-        Staircase build_staircase group_oracle membership_operator q_level q_tower q_zero_minus
-        sigma verify_planar_closure""",
+    "subfactor": """CablingData ClosureReport GroupOracle KernelFactorizationError
+        MembershipOperator QLevelResult Staircase build_staircase group_oracle
+        membership_operator q_level q_tower q_zero_minus sigma verify_planar_closure""",
     "selftest": "CheckResult random_element run_relation_suite",
 }.items()}
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -19,7 +19,8 @@ selftest runs the randomized relation suite of the algebra itself.
 
 Exit codes: 0 success / verdict true; 1 verdict false or failed check;
 2 input error; 3 resource refusal; 4 ambiguous spectrum (qdims and group
-refuse a level whose gap is below numerics.MIN_GAP).
+refuse a level whose gap is below numerics.MIN_GAP, or whose kernel fails to
+factor or to meet its residual bound).
 """
 
 from __future__ import annotations
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
     except QitValidationError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_FALSE
+    except subfactor.KernelFactorizationError as exc:  # only qdims and group take kernels
+        print(f"kernel refusal: {exc}", file=sys.stderr)
+        return EXIT_AMBIGUOUS
 
 
 def entry():

@@ -261,21 +261,34 @@ class QLevelResult:
     kernel_matrix: np.ndarray = field(default=None, repr=False)
 
 
+class KernelFactorizationError(RuntimeError):
+    """A level's kernel could not be computed, or fails its residual bound."""
+
+
 def _kernel_result(op: MembershipOperator, ctx: SpinContext) -> tuple:
     # abs_tol=rel_tol: columns come from unit basis vectors through an
     # isometry minus a contraction, so the natural scale of L is one; a
     # singular value at roundoff means the direction is in the kernel even
     # when the whole matrix is numerically zero (level 0, where L = 0).
     rel_tol = numerics.DEFAULT_REL_TOL
+    level = f"{op.level}-" if op.minus else str(op.level)
     try:
         ker = numerics.kernel_basis(op.matrix, rel_tol, abs_tol=rel_tol)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"kernel factorization failed at level {op.level}: {exc}") from None
+        raise KernelFactorizationError(
+            f"kernel factorization failed at level {level}: {exc}") from None
     if ker.dim:
         defects = op.matrix @ ker.basis
         residual = float(np.max(np.linalg.norm(defects, axis=0)))
     else:
         residual = 0.0
+    # a kernel vector's ||L b|| is at most its singular value, so at most the
+    # threshold, up to roundoff at the gap floor
+    bound = ker.threshold + numerics.roundoff_floor(op.matrix.shape, ker.sigma)
+    if not residual <= bound:  # also refuses nan
+        raise KernelFactorizationError(
+            f"kernel at level {level} has residual ||L K|| = {residual:.2e}, "
+            f"above the threshold plus roundoff {bound:.2e}")
     # unit planar norm in closed form: the basis Gram matrix is basis_weight
     # times the identity, so the planar norm is sqrt(weight) times the l2 norm
     weight = basis_weight(ctx, op.ambient_color)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spinplanar as sp
-from spinplanar import cli
+from spinplanar import cli, numerics
 from conftest import haar_qls, latin5, tensor_biunitary, z3_latin
 
 
@@ -251,6 +251,41 @@ def test_group_refuses_a_spectrum_that_does_not_separate(capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "ambiguous spectrum: level 1 has gap" in err
+
+
+_true_kernel_basis = numerics.kernel_basis
+
+
+def _raising_kernel(a, *args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _tilted_kernel(a, *args, **kwargs):
+    # the true kernel with its first column tilted out of it by 1e-3
+    res = _true_kernel_basis(a, *args, **kwargs)
+    if not 0 < res.dim < res.basis.shape[0]:
+        return res
+    r = np.random.default_rng(0).normal(size=res.basis.shape[0]).astype(complex)
+    w = r - res.basis @ (res.basis.conj().T @ r)
+    basis = res.basis.copy()
+    basis[:, 0] = np.cos(1e-3) * basis[:, 0] + np.sin(1e-3) * w / np.linalg.norm(w)
+    return res._replace(basis=basis)
+
+
+@pytest.mark.parametrize("kernel, message", [
+    (_raising_kernel, "kernel factorization failed at level 0: SVD did not converge"),
+    (_tilted_kernel, "kernel at level 1 has residual"),
+], ids=["raising", "tilted"])
+@pytest.mark.parametrize("command", ["qdims", "group"])
+def test_failed_kernel_is_refused(files, capsys, monkeypatch, kernel, message, command):
+    # a factorization that raises, or a basis that misses the residual bound,
+    # is a named refusal (exit 4), never a traceback read as a false verdict
+    monkeypatch.setattr(numerics, "kernel_basis", kernel)
+    source = ["--input", files["fourier2"]] if command == "qdims" else ["--name", "Z2"]
+    code, out, err = run(capsys, command, *source, "--max-level", "2")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("kernel refusal: " + message), err
 
 
 def test_qdims_invalid_object(files, capsys):

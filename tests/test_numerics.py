@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spinplanar as sp
 from spinplanar import numerics
@@ -192,9 +193,67 @@ def test_tall_input_with_few_nonzero_rows(order):
 
 
 def test_overflowing_factor_is_refused():
-    # finite entries whose column norms overflow give an infinite R, which gesvd must not take
+    # finite entries whose column norms overflow give an infinite R, which gesdd must not take
     with pytest.raises(ValueError):
         numerics.kernel_basis(np.full((3, 2), 1e308))
+
+
+def kahan(n=90, c=0.285):
+    """Kahan's matrix, perturbed so that column pivoting keeps its order."""
+    s = np.sqrt(1 - c * c)
+    scale = s ** np.arange(n) * (1 - 1e-13) ** np.arange(n)
+    return scale[:, None] * (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def pivoted_qr_kernel(a, dim):
+    """The trailing columns of a column-pivoted QR of R^H, R from a QR of a."""
+    r = scipy.linalg.qr(a, mode="r")[0]
+    q = scipy.linalg.qr(r.conj().T, pivoting=True)[0]
+    return q[:, q.shape[1] - dim:]
+
+
+def test_kernel_is_rank_revealing_where_pivoted_qr_is_not():
+    # column pivoting does not reorder Kahan's matrix K, so a pivoted QR
+    # leaves |R_nn| = 0.023 against sigma_n = 8.8e-12.  The SVD finds the one
+    # kernel direction of K and of the upper triangular J K^H J (J the
+    # reversal); a pivoted QR of the latter's R^H misses it by 1.4e-6.
+    k = kahan()
+    s = np.linalg.svd(k, compute_uv=False)
+    rel_tol = np.sqrt(s[-1] * s[-2]) / s[0]
+    assert abs(scipy.linalg.qr(k, pivoting=True)[1][-1, -1]) > 1e-2
+    flipped = k.conj().T[::-1, ::-1]
+    for a in (k, flipped):
+        res = numerics.kernel_basis(a, rel_tol)
+        assert res.dim == 1
+        assert np.linalg.norm(a @ res.basis) <= 1e-10
+    assert np.linalg.norm(flipped @ pivoted_qr_kernel(flipped, 1)) > rel_tol * s[0]
+
+
+PIPELINE_TOWERS = {
+    "F3 to level 5": (lambda: sp.fourier_hadamard(3).to_element(), 5),
+    "F4 to level 4": (lambda: sp.fourier_hadamard(4).to_element(), 4),
+    "S3 to level 3": (lambda: sp.group_element(sp.s3_table()), 3),
+    "Z6 to level 3": (lambda: sp.group_element(sp.cyclic_table(6)), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIPELINE_TOWERS))
+def test_kernels_match_a_gesvd_reference(case):
+    # the kernels and spectra of the pipeline's operators are those of a
+    # one-sided gesvd of the whole operator, the kernel path before gesdd
+    build, levels = PIPELINE_TOWERS[case]
+    stair = sp.build_staircase(build(), 1, levels)
+    tol = numerics.DEFAULT_REL_TOL
+    for m in range(levels + 1):
+        a = sp.membership_operator(stair, m).matrix
+        assert a.shape[0] >= a.shape[1]
+        res = numerics.kernel_basis(a, tol, abs_tol=tol)
+        _, s, vh = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        want = vh[s <= max(tol * s[0], tol)].conj().T
+        assert res.dim == want.shape[1], m
+        assert np.max(np.abs(res.sigma - s)) <= 1e-12 * s[0], m
+        outside = res.basis - want @ (want.conj().T @ res.basis)
+        assert np.linalg.norm(outside, 2) <= 1e-12, m
 
 
 @pytest.mark.parametrize("case", sorted(TALL_CASES))

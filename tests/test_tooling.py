@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import spinplanar as sp
-from spinplanar import cli
+from spinplanar import cli, numerics
 
 TESTS = Path(__file__).parent
 README = TESTS.parent / "README.md"
@@ -84,6 +84,26 @@ def test_dense_oracle_does_not_import_the_package():
         assert "numpy" in roots, path.name
         assert roots <= {"numpy", "scipy", "itertools", "math"}, (path.name, imported)
         assert not roots & ({"", "spinplanar"} | local), (path.name, imported)
+
+
+def test_one_svd_driver():
+    # every SVD in the package runs numerics.SVD_DRIVER: each lapack_driver=
+    # argument reads that constant, and no other string names an SVD driver
+    drivers = re.compile(r"ge(svd|sdd|jsv|svj|svdx|svdq)")
+    reads, named = 0, []
+    for path in sorted((SRC / "spinplanar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.keyword) and node.arg == "lapack_driver":
+                value = node.value
+                name = value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", None)
+                assert name == "SVD_DRIVER", (path.name, ast.unparse(value))
+                reads += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if drivers.fullmatch(node.value):
+                    named.append((path.name, node.value))
+    assert reads >= 2
+    assert named == [("numerics.py", numerics.SVD_DRIVER)]
+    assert numerics.SVD_DRIVER == "gesdd"
 
 
 def test_readme_quick_start_runs():
